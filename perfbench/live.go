@@ -46,15 +46,22 @@ const (
 	fleetReadEvery = 100 * time.Millisecond
 	// warmup runs before the measured phase and is not counted.
 	warmup = 500 * time.Millisecond
+	// phaseShare is the share of --seconds the fixed-rate phase lasts; the
+	// capacity measurement takes most of the rest.
+	phaseShare = 0.55
 	// saturatePerSecond is how many back-to-back requests the capacity
 	// measurement sends per second of --seconds.
-	saturatePerSecond = 2000
+	saturatePerSecond = 4500
 	// spinBelow is how close to a due time the generator stops sleeping and
 	// yields instead: a sleep wakes up to a millisecond late.
 	spinBelow = time.Millisecond
 	// chunks splits the capacity measurement; the median chunk is reported,
-	// so one stall of the shared host does not decide a run's figure.
-	chunks = 5
+	// so one stall of the shared host does not decide a run's figure. Half
+	// the chunks run before the fixed-rate phase and half after it, so the
+	// figure samples the host's speed across the whole run. The chunks
+	// replay chunkSchedules distinct seeded schedules in turn.
+	chunks         = 24
+	chunkSchedules = 4
 	// liveSLOScale is the routed experiments' SLO policy.
 	liveSLOScale = 1.0
 	// drainTimeout bounds the wait for admitted jobs to finish.
@@ -278,8 +285,8 @@ func genSchedule(seed uint64, rate float64, d time.Duration) []*op {
 }
 
 // liveInputs are a run's generated schedules: the warm-up, the fixed-rate
-// phase lasting d, and the capacity measurement's back-to-back chunks of n
-// requests in all.
+// phase lasting d, and the capacity measurement's distinct back-to-back
+// chunk schedules, sized so that its chunks send n requests in all.
 type liveInputs struct {
 	warm, phase []*op
 	chunks      [][]*op
@@ -293,7 +300,7 @@ func genInputs(seed uint64, d time.Duration, n int) *liveInputs {
 	for _, o := range in.warm {
 		o.warm = true
 	}
-	for c := 0; c < chunks; c++ {
+	for c := 0; c < chunkSchedules; c++ {
 		ops := genRequests(seed+uint64(c+1)*104729, liveRate, n/chunks)
 		for _, o := range ops {
 			o.due = 0
@@ -577,9 +584,10 @@ func checkLive(f *liveFleet, ph *livePhase, rep *report) {
 }
 
 // runLive runs the live-fleet workload: set-up (schedule generation and a
-// fleet started) repeated setupReps times, a fixed-rate phase for 80% of the
-// window, then the capacity measurement (untraced) or the same fixed-rate
-// phase on a traced fleet (traced).
+// fleet started) repeated setupReps times, then a fixed-rate phase for
+// phaseShare of the window. An untraced run measures the capacity in two
+// blocks, one before that phase and one after it; a traced run replays the
+// same fixed-rate phase on a traced fleet instead.
 func runLive(opts options) (*report, error) {
 	rep := &report{metrics: metricSet{}}
 	window := time.Duration(opts.seconds * float64(time.Second))
@@ -593,7 +601,7 @@ func runLive(opts options) (*report, error) {
 		fleet, in = nil, nil
 		runtime.GC() // as for the simulator set-ups
 		start := time.Now()
-		in = genInputs(opts.seed, window*8/10, int(saturatePerSecond*opts.seconds))
+		in = genInputs(opts.seed, time.Duration(phaseShare*float64(window)), int(saturatePerSecond*opts.seconds))
 		gen := time.Since(start)
 		f, err := startFleet(nil, nil)
 		if err != nil {
@@ -604,6 +612,15 @@ func runLive(opts options) (*report, error) {
 		profMS = append(profMS, f.profTime.Seconds()*1e3)
 		fleet = f
 	}
+	var rates []float64
+	if !opts.trace {
+		r, err := saturate(in, 0, chunks/2, rep)
+		if err != nil {
+			fleet.stop()
+			return nil, err
+		}
+		rates = r
+	}
 	ph, err := runPhase(fleet, nil, in, rep)
 	fleet.stop()
 	if err != nil {
@@ -611,11 +628,11 @@ func runLive(opts options) (*report, error) {
 	}
 	count(rep, ph.ops)
 	if !opts.trace {
-		perCPU, err := saturate(in, rep)
+		r, err := saturate(in, chunks/2, chunks, rep)
 		if err != nil {
 			return nil, err
 		}
-		liveEndToEnd(rep.metrics, median(setupS), perCPU, ph)
+		liveEndToEnd(rep.metrics, median(setupS), median(append(rates, r...)), ph)
 		return rep, nil
 	}
 
@@ -679,27 +696,31 @@ func measured(ops []*op) (gens []*op, admitMS, lateMS []float64) {
 	return gens, admitMS, lateMS
 }
 
-// saturate measures the admission path's cost at saturation: the chunks'
-// requests sent back to back over the generator's connections (each sends
-// its next request as soon as the previous one is answered), reported as
-// requests answered per process CPU second (router, drivers and client
-// together), the median chunk's.
-func saturate(in *liveInputs, rep *report) (float64, error) {
+// saturate measures the admission path's cost at saturation on a fleet of
+// its own, for chunks [from, to): each chunk's requests are sent back to
+// back over the generator's connections (each sends its next request as
+// soon as the previous one is answered). It returns each chunk's requests
+// answered per process CPU second (router, drivers and client together).
+// Every chunk starts from a collected heap, so the previous chunk's garbage
+// does not decide when its collections run.
+func saturate(in *liveInputs, from, to int, rep *report) ([]float64, error) {
 	f, err := startFleet(nil, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer f.stop()
 	count(rep, newLoadGen(f, nil).run(fresh(in.warm)))
 	var rates []float64
-	for _, chunk := range in.chunks {
-		ops := fresh(chunk)
+	for c := from; c < to; c++ {
+		ops := fresh(in.chunks[c%len(in.chunks)])
+		runtime.GC()
 		cpu0 := cpuTime()
 		ops = newLoadGen(f, nil).run(ops)
 		rates = append(rates, float64(len(ops))/(cpuTime()-cpu0).Seconds())
 		count(rep, ops)
 	}
-	return median(rates), nil
+	fmt.Fprintf(os.Stderr, "perfbench: live capacity chunks %d-%d: %.0f requests per CPU second\n", from, to-1, rates)
+	return rates, nil
 }
 
 // liveAttainment is the paper's SLO attainment over the offered load, from
