@@ -179,10 +179,11 @@ func benchPlanCtxCached(depth int) *sched.PlanContext {
 }
 
 // BenchmarkPlanLatency measures one TetriServe round decision for queue
-// depths the paper tabulates — the <10 ms control-plane claim. With the
-// default warm-start configuration the fixed snapshot is answered from the
-// exact-replay cache after the first call; BenchmarkWarmStartPlan isolates
-// the cold and partially-warm regimes.
+// depths the paper tabulates — the <10 ms control-plane claim. Every call
+// re-plans the same snapshot in full: the late/active partition, candidate
+// construction and assembly run over the whole queue, while the DP resumes
+// every row from the previous call's checkpoint. BenchmarkWarmStartPlan
+// isolates the cold and partially-warm regimes.
 func BenchmarkPlanLatency(b *testing.B) {
 	for _, depth := range []int{4, 16, 64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("queue=%d", depth), func(b *testing.B) {

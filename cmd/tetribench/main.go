@@ -45,7 +45,8 @@ var (
 )
 
 // planLatency mirrors BenchmarkPlanLatency: one TetriServe round decision at
-// the given queue depth — the paper's <10 ms control-plane claim.
+// the given queue depth — the paper's <10 ms control-plane claim. Each call
+// re-plans the unchanged snapshot in full; only the DP resumes its rows.
 func planLatency(depth int) func(*testing.B) {
 	return func(b *testing.B) {
 		s := core.NewScheduler(benchProf, benchTopo, core.DefaultConfig())
@@ -135,8 +136,8 @@ func benchCtxCached(depth int) *sched.PlanContext {
 // warmStartPlan isolates the incremental planner's three regimes at one
 // queue depth. "cold" disables warm start entirely — the honest full-solve
 // number (and the denominator of the warm-start speedup). "steady" perturbs
-// the last pending request every iteration, so the exact-replay layer
-// misses but the DP resumes from a near-complete checkpoint. "churn"
+// the last pending request every iteration, so the DP resumes from a
+// near-complete checkpoint. "churn"
 // perturbs a rotating request, so on average half the DP table is reusable.
 func warmStartPlan(mode string, depth int) func(*testing.B) {
 	return func(b *testing.B) {

@@ -249,14 +249,18 @@ type Loop struct {
 	eng *engine.Engine
 
 	states map[workload.RequestID]*sched.RequestState
-	// pending preserves arrival order among unfinished, non-running
-	// requests.
-	pending  []*sched.RequestState
-	inflight map[engine.RunID]*engine.Run
+	// pending holds the unfinished, non-running requests in the order they
+	// became pending (ProbeFeasibility sums its float backlog in this
+	// order). byArrival holds the same requests ordered by (Arrival, ID),
+	// equal keys in pending order: the order the scheduler plans in, kept
+	// by insertion so no planning round sorts the backlog. Both change only
+	// through enqueue, removePending and expire.
+	pending   []*sched.RequestState
+	byArrival []*sched.RequestState
+	inflight  map[engine.RunID]*engine.Run
 	// runEv maps in-flight runs to their completion events so GPU faults
 	// can cancel the completions of blocks they abort.
 	runEv map[engine.RunID]eventq.Handle
-	done  map[workload.RequestID]bool
 	res   *Result
 	// left counts admitted-or-scheduled requests not yet finalized.
 	left int
@@ -309,7 +313,6 @@ func New(cfg Config, clk clock.Clock) (*Loop, error) {
 		states:   make(map[workload.RequestID]*sched.RequestState, max(pre.Requests, 0)),
 		inflight: make(map[engine.RunID]*engine.Run),
 		runEv:    make(map[engine.RunID]eventq.Handle),
-		done:     make(map[workload.RequestID]bool, max(pre.Requests, 0)),
 		res: &Result{
 			SchedulerName: cfg.Scheduler.Name(),
 			NGPU:          cfg.Topo.N,
@@ -502,7 +505,7 @@ func (l *Loop) admit(now time.Duration, r *workload.Request) {
 		Remaining: steps,
 	}
 	l.states[r.ID] = st
-	l.pending = append(l.pending, st)
+	l.enqueue(st)
 	if l.cfg.Hooks.Admitted != nil {
 		l.cfg.Hooks.Admitted(now, r)
 	}
@@ -557,7 +560,7 @@ func (l *Loop) onRunDone(now time.Duration, run *engine.Run) error {
 		} else if l.cfg.DropLateFactor > 0 && l.pastDrop(now, st) {
 			l.drop(now, st, DropExpired)
 		} else {
-			l.pending = append(l.pending, st)
+			l.enqueue(st)
 		}
 	}
 	// Observers were notified and the record copied; the run struct can be
@@ -699,8 +702,9 @@ func (l *Loop) plan(now time.Duration) {
 			l.cfg.Hooks.RunStarted(now, run)
 		}
 		for _, id := range asg.Requests {
-			l.setRunning(l.states[id])
-			l.removePending(id)
+			st := l.states[id]
+			l.setRunning(st)
+			l.removePending(st)
 			if l.cfg.Hooks.Started != nil {
 				l.cfg.Hooks.Started(now, id)
 			}
@@ -717,18 +721,20 @@ func (l *Loop) expire(now time.Duration) {
 	if l.cfg.DropLateFactor <= 0 {
 		return
 	}
-	kept := l.pending[:0]
+	expired := func(st *sched.RequestState) bool { return !st.Running && l.pastDrop(now, st) }
+	// Drops go out in pending order, which fixes the order of their
+	// outcomes and hooks.
+	dropped := false
 	for _, st := range l.pending {
-		if !st.Running && l.pastDrop(now, st) {
+		if expired(st) {
 			l.drop(now, st, DropExpired)
-		} else {
-			kept = append(kept, st)
+			dropped = true
 		}
 	}
-	for i := len(kept); i < len(l.pending); i++ {
-		l.pending[i] = nil
+	if dropped {
+		l.pending = slices.DeleteFunc(l.pending, expired)
+		l.byArrival = slices.DeleteFunc(l.byArrival, expired)
 	}
-	l.pending = kept
 }
 
 // onGPUFail injects a fail-stop fault: the engine aborts intersecting
@@ -807,7 +813,7 @@ func (l *Loop) onGPUFail(now time.Duration, mask simgpu.Mask) {
 			case l.cfg.DropLateFactor > 0 && l.pastDrop(now, st):
 				l.drop(now, st, DropExpired)
 			default:
-				l.pending = append(l.pending, st)
+				l.enqueue(st)
 				if l.cfg.Hooks.Requeued != nil {
 					l.cfg.Hooks.Requeued(now, id, RequeueFault)
 				}
@@ -902,7 +908,7 @@ func (l *Loop) applyResize(now time.Duration, newMask simgpu.Mask) {
 			case l.cfg.DropLateFactor > 0 && l.pastDrop(now, st):
 				l.drop(now, st, DropExpired)
 			default:
-				l.pending = append(l.pending, st)
+				l.enqueue(st)
 				if l.cfg.Hooks.Requeued != nil {
 					l.cfg.Hooks.Requeued(now, id, RequeueResize)
 				}
@@ -944,30 +950,16 @@ func (l *Loop) dispatchDelay() time.Duration {
 	return 0
 }
 
+// snapshotPending lists the plannable pending requests in (Arrival, ID)
+// order. Arrival order is part of the FIFO baselines' semantics; re-queued
+// requests must not jump ahead of earlier arrivals.
 func (l *Loop) snapshotPending() []*sched.RequestState {
 	out := l.pendSnap[:0]
-	for _, st := range l.pending {
-		if !st.Running && st.Remaining > 0 && !l.done[st.Req.ID] {
+	for _, st := range l.byArrival {
+		if !st.Running && st.Remaining > 0 {
 			out = append(out, st)
 		}
 	}
-	// Arrival order is part of the FIFO baselines' semantics; re-queued
-	// requests must not jump ahead of earlier arrivals.
-	slices.SortStableFunc(out, func(a, b *sched.RequestState) int {
-		if a.Req.Arrival != b.Req.Arrival {
-			if a.Req.Arrival < b.Req.Arrival {
-				return -1
-			}
-			return 1
-		}
-		if a.Req.ID != b.Req.ID {
-			if a.Req.ID < b.Req.ID {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
 	l.pendSnap = out
 	return out
 }
@@ -1014,10 +1006,49 @@ func (l *Loop) snapshotRunning() []*sched.RequestState {
 	return out
 }
 
-func (l *Loop) removePending(id workload.RequestID) {
-	for i, st := range l.pending {
-		if st.Req.ID == id {
-			l.pending = append(l.pending[:i], l.pending[i+1:]...)
+// arrivalBefore reports whether a sorts before b in (Arrival, ID) order.
+func arrivalBefore(a, b *sched.RequestState) bool {
+	if a.Req.Arrival != b.Req.Arrival {
+		return a.Req.Arrival < b.Req.Arrival
+	}
+	return a.Req.ID < b.Req.ID
+}
+
+// enqueue makes st pending: appended to l.pending, and inserted into
+// l.byArrival after every entry that does not sort after it. Arrivals land
+// at the end in O(1); a requeue costs a binary search and one shift.
+func (l *Loop) enqueue(st *sched.RequestState) {
+	l.pending = append(l.pending, st)
+	lo, hi := 0, len(l.byArrival)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if arrivalBefore(st, l.byArrival[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	l.byArrival = slices.Insert(l.byArrival, lo, st)
+}
+
+// removePending takes a request that starts running out of both pending
+// indexes: a pointer scan of pending, a binary search of byArrival.
+func (l *Loop) removePending(st *sched.RequestState) {
+	if i := slices.Index(l.pending, st); i >= 0 {
+		l.pending = slices.Delete(l.pending, i, i+1)
+	}
+	lo, hi := 0, len(l.byArrival)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if arrivalBefore(l.byArrival[mid], st) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < len(l.byArrival); i++ {
+		if l.byArrival[i] == st {
+			l.byArrival = slices.Delete(l.byArrival, i, i+1)
 			return
 		}
 	}
@@ -1078,7 +1109,6 @@ func (l *Loop) finish(now time.Duration, st *sched.RequestState) {
 		Approximated: st.QualityUsed,
 	}
 	l.res.Outcomes = append(l.res.Outcomes, out)
-	l.done[r.ID] = true
 	l.left--
 	delete(l.states, r.ID)
 	if l.cfg.Hooks.Finished != nil {
@@ -1109,7 +1139,6 @@ func (l *Loop) drop(now time.Duration, st *sched.RequestState, cause DropCause) 
 // also feeds the trimmer).
 func (l *Loop) finalize(now time.Duration, out Outcome) {
 	l.res.Outcomes = append(l.res.Outcomes, out)
-	l.done[out.ID] = true
 	l.left--
 	delete(l.states, out.ID)
 	if l.cfg.Hooks.Dropped != nil {

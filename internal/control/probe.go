@@ -118,12 +118,12 @@ func (l *Loop) ProbeFeasibility(res model.Resolution, steps int, slo time.Durati
 	}
 
 	// Backlog: every tracked, unfinished request costed at its cheapest
-	// profiled degree. The pending list may hold stale entries for requests
-	// that finished out of a block (same filter snapshotPending applies);
-	// running requests are counted by their remaining steps only.
+	// profiled degree. The pending list never holds a finalized request;
+	// it is filtered like snapshotPending's plannable set, and running
+	// requests are counted by their remaining steps only.
 	var backlog float64
 	for _, st := range l.pending {
-		if st.Running || st.Remaining <= 0 || l.done[st.Req.ID] {
+		if st.Running || st.Remaining <= 0 {
 			continue
 		}
 		f.Pending++

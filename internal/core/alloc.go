@@ -135,7 +135,7 @@ func (s *Scheduler) addCachedOptions(prof *costmodel.Profile, tNext time.Duratio
 	if done < sched.CacheProtectedSteps {
 		for oi := range c.options {
 			o := &c.options[oi]
-			if s.cacheFeasibleAt(prof, st, tNext, st.Remaining-o.q, done+o.q, budgetLeft) {
+			if s.cacheFeasibleAt(prof, st, c.tmin, tNext, st.Remaining-o.q, done+o.q, budgetLeft) {
 				o.survive = true
 			}
 		}
@@ -162,7 +162,7 @@ func (s *Scheduler) addCachedOptions(prof *costmodel.Profile, tNext time.Duratio
 			if q <= 0 {
 				continue
 			}
-			if !s.cacheFeasibleAt(prof, st, tNext, st.Remaining-q, done+q,
+			if !s.cacheFeasibleAt(prof, st, c.tmin, tNext, st.Remaining-q, done+q,
 				budgetLeft-sched.ApproxSteps(q, ci)) {
 				continue
 			}
@@ -183,12 +183,13 @@ func (s *Scheduler) addCachedOptions(prof *costmodel.Profile, tNext time.Duratio
 // `done` effective steps already computed and budgetLeft quality to spend,
 // can still meet st's deadline in the best cache-assisted case: every
 // approximable step (outside the protected first/last CacheProtectedSteps,
-// capped by the budget) runs at γ·tmin, the rest at plain tmin, with
+// capped by the budget) runs at γ·tmin, the rest at plain tmin (the
+// caller's cached minStep for st's resolution), with
 // cacheRescueMargin of slack absorbing round quantization and jitter. This
 // single projection backs the definitely-late relief, the protected-prefix
 // survival flip, and the per-option rescue gate, so a request is kept alive
 // for the cache dimension exactly when a rescue can still be realized.
-func (s *Scheduler) cacheFeasibleAt(prof *costmodel.Profile, st *sched.RequestState, tStart time.Duration, remaining, done, budgetLeft int) bool {
+func (s *Scheduler) cacheFeasibleAt(prof *costmodel.Profile, st *sched.RequestState, tmin, tStart time.Duration, remaining, done, budgetLeft int) bool {
 	// a is the best-case approximated-step count ahead; 0 (no approximable
 	// span or no budget left) degrades the projection to plain service —
 	// still feasible when the remainder is small enough.
@@ -206,7 +207,6 @@ func (s *Scheduler) cacheFeasibleAt(prof *costmodel.Profile, st *sched.RequestSt
 			}
 		}
 	}
-	tmin := s.minStep(prof, st.Req.Res)
 	gamma := prof.CachedStepRelCost()
 	minRemaining := time.Duration(remaining-a)*tmin + time.Duration(float64(a)*gamma*float64(tmin))
 	return tStart+minRemaining+s.cacheRescueMargin() <= st.Deadline()

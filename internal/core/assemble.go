@@ -46,11 +46,9 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	// The placement arena must never reallocate once pointers are taken:
 	// each candidate is placed at most once (DP pass or work-conserving
 	// admission, never both) and the best-effort lane adds at most one
-	// block per late request.
-	if need := len(cands) + len(late); cap(sc.placed) < need {
-		sc.placed = make([]placed, 0, need)
-	}
-	sc.placed = sc.placed[:0]
+	// block per GPU of its budget. Growth is amortized, so a backlog that
+	// climbs by a few requests a round does not reallocate every round.
+	sc.placed = slices.Grow(sc.placed[:0], len(cands)+s.cfg.BestEffortGPUs)
 	sc.placedPtr = sc.placedPtr[:0]
 
 	// --- Placement (big groups first to limit fragmentation). ---
@@ -109,9 +107,6 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	// --- Best-effort lane for definitely-late requests (§4.2.2): at most
 	// one GPU each, from leftovers only, scaled up later if GPUs idle. ---
 	if s.cfg.BestEffortLane {
-		slices.SortStableFunc(late, func(a, b *sched.RequestState) int {
-			return cmp.Compare(a.Deadline(), b.Deadline())
-		})
 		window := s.window()
 		// Budget the lane: already-running late blocks (multi-round SP=1
 		// blocks from earlier rounds) count against the cap so stragglers
@@ -122,15 +117,12 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 				budget--
 			}
 		}
-		if cap(sc.lateArena) < len(late) {
-			sc.lateArena = make([]candidate, 0, len(late))
-		}
-		sc.lateArena = sc.lateArena[:0]
-		for _, st := range late {
-			if budget <= 0 || free.Count() == 0 {
+		lane := sc.earliestDeadlines(late, budget)
+		sc.lateArena = slices.Grow(sc.lateArena[:0], len(lane))
+		for _, st := range lane {
+			if free.Count() == 0 {
 				break
 			}
-			budget--
 			g := sched.AlignedGroup(ctx.Topo, free, 1, st.LastGroup)
 			if g == 0 {
 				break
@@ -201,6 +193,37 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	}
 	sc.plan = plan
 	return plan
+}
+
+// earliestDeadlines returns the k earliest-deadline requests of sts in
+// deadline order, equal deadlines in input order: the first k entries a
+// stable sort by deadline would give, found in one pass. The best-effort
+// lane serves at most its GPU budget of late requests, so sorting the whole
+// late set every round would be wasted work. The result aliases scratch.
+func (sc *planScratch) earliestDeadlines(sts []*sched.RequestState, k int) []*sched.RequestState {
+	if k <= 0 {
+		return nil
+	}
+	out := sc.lane[:0]
+	for _, st := range sts {
+		d := st.Deadline()
+		if len(out) == k && d >= out[k-1].Deadline() {
+			continue
+		}
+		// Insert after every kept request due no later than st, dropping
+		// the latest one when full.
+		i := len(out)
+		for i > 0 && out[i-1].Deadline() > d {
+			i--
+		}
+		if len(out) < k {
+			out = append(out, nil)
+		}
+		copy(out[i+1:], out[i:len(out)-1])
+		out[i] = st
+	}
+	sc.lane = out
+	return out
 }
 
 // place maps a (candidate, degree) onto a concrete free group, degrading to

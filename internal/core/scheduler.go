@@ -77,12 +77,11 @@ type Config struct {
 	// count — batching only pays for requests that underutilize a GPU.
 	// Default 1024 tokens (≤ 512×512).
 	BatchTokenCap int
-	// WarmStart enables the incremental planning layer: an exact-replay
-	// cache keyed by a fingerprint of the pending/running sets (Layer A)
-	// and a prefix-resumable DP that re-solves only the candidates that
-	// changed since the previous round (Layer B). Both layers are
-	// bit-identical to a cold solve — see DESIGN.md §12 — so the knob only
-	// trades memory for control-plane latency. Default on.
+	// WarmStart enables the incremental planning layer: a prefix-resumable
+	// DP that keeps the previous round's value table and re-solves only the
+	// candidate rows after the first one that changed. It is bit-identical
+	// to a cold solve — see DESIGN.md §12 — so the knob only trades memory
+	// for control-plane latency. Default on.
 	WarmStart bool
 	// WarmStartMinReuse is the minimum number of matching prefix candidates
 	// required before the DP resumes from a checkpoint; below it the solve
@@ -210,8 +209,7 @@ type Scheduler struct {
 	placementFailures int
 	lastPlanLatency   time.Duration
 
-	// Warm-start diagnostics (see warmstart.go).
-	warmHits    int
+	// Warm-start diagnostics (see dp.go).
 	warmRows    int
 	coldRows    int
 	prunedCands int
@@ -219,11 +217,8 @@ type Scheduler struct {
 
 // WarmStats summarizes the incremental-planning layer's effectiveness.
 type WarmStats struct {
-	// ReplayHits counts Plan calls answered entirely from the Layer-A
-	// exact-replay cache (no solve at all).
-	ReplayHits int
 	// ResumedRows counts DP candidate rows reused from a previous round's
-	// checkpoint table (Layer B).
+	// checkpoint table.
 	ResumedRows int
 	// ColdRows counts DP candidate rows computed from scratch.
 	ColdRows int
@@ -304,7 +299,6 @@ func (s *Scheduler) LastPlanLatency() time.Duration { return s.lastPlanLatency }
 // Warm returns the incremental-planning diagnostics.
 func (s *Scheduler) Warm() WarmStats {
 	return WarmStats{
-		ReplayHits:       s.warmHits,
 		ResumedRows:      s.warmRows,
 		ColdRows:         s.coldRows,
 		PrunedCandidates: s.prunedCands,
@@ -325,13 +319,6 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 		s.lastPlanLatency = s.cfg.WallClock().Sub(started)
 		s.roundsPlanned++
 	}()
-
-	// Layer A: if the planning inputs are bit-identical to the previous
-	// round's, the previous plan is still the answer — return it without
-	// touching any scratch (the cached plan aliases it).
-	if plan, ok := s.tryReplay(ctx); ok {
-		return plan
-	}
 
 	tNext := ctx.Now + s.tau
 	s.beginPlan(ctx.Profile)
@@ -369,12 +356,7 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	chosen := s.packDP(s.pruneCandidates(sc.cands), capGPUs)
 
 	// Stage 3: placement, batching, elastic scale-up, best-effort lane.
-	failBefore := s.placementFailures
-	plan := s.assemble(ctx, chosen, sc.cands, sc.late)
-
-	// Record the fingerprint + plan for the Layer-A replay cache.
-	s.snapshotReplay(ctx, plan, s.placementFailures-failBefore)
-	return plan
+	return s.assemble(ctx, chosen, sc.cands, sc.late)
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -278,6 +279,47 @@ func TestBestEffortLaneCapped(t *testing.T) {
 	}
 	if used > 2 {
 		t.Fatalf("best-effort lane used %d GPUs, cap is 2", used)
+	}
+}
+
+// TestBestEffortLanePicksEarliestDeadlines: the lane's GPUs go to the
+// earliest-deadline late requests, equal deadlines in input order (not ID
+// order), emitted in that order.
+func TestBestEffortLanePicksEarliestDeadlines(t *testing.T) {
+	type req struct {
+		id  int
+		slo time.Duration
+	}
+	cases := []struct {
+		name    string
+		pending []req
+		want    []workload.RequestID
+	}{
+		{"ids ascending", []req{{1, 30}, {2, 10}, {3, 20}, {4, 10}, {5, 20}}, []workload.RequestID{2, 4, 3}},
+		{"ids shuffled", []req{{4, 10}, {5, 20}, {2, 10}, {3, 20}, {1, 30}}, []workload.RequestID{4, 2, 5}},
+		{"fewer late than budget", []req{{7, 20}, {6, 10}}, []workload.RequestID{6, 7}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestScheduler(t, func(c *Config) {
+				c.BestEffortGPUs = 3
+				c.ElasticScaleUp = false
+			})
+			var pending []*sched.RequestState
+			for _, r := range tc.pending {
+				pending = append(pending, mkState(r.id, model.Res512, 50, 0, r.slo*time.Millisecond))
+			}
+			var got []workload.RequestID
+			for _, a := range s.Plan(mkCtx(time.Second, testTopo.AllMask(), pending...)) {
+				if !a.BestEffort || a.Group.Count() != 1 {
+					t.Fatalf("late-only snapshot planned a non-lane block %+v", a)
+				}
+				got = append(got, a.Requests...)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("lane served %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

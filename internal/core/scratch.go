@@ -11,6 +11,7 @@ package core
 // worker).
 
 import (
+	"slices"
 	"time"
 
 	"tetriserve/internal/costmodel"
@@ -53,11 +54,13 @@ type planScratch struct {
 	mixArena    []mixEntry
 	memoProf    *costmodel.Profile
 	memoVersion uint64
-	// tminCache memoizes Profile.MinStepTime per resolution — the lookup is
-	// a degree-loop of map probes and the planner needs it twice per pending
-	// request per round (late partition + candidate survival bounds). Tied
-	// to the memo epoch: reset only when the profile identity/version moves.
-	tminCache map[model.Resolution]time.Duration
+	// tmins memoizes Profile.MinStepTime per resolution — the lookup is a
+	// degree-loop of map probes and the planner needs it twice per pending
+	// request per round (late partition + candidate survival bounds). A
+	// profile holds a handful of resolutions, so a linear scan of this slice
+	// beats hashing the key. Tied to the memo epoch: reset only when the
+	// profile identity/version moves.
+	tmins []resTmin
 	// cfgCache memoizes buildDegCfgs per resolution on the same epoch: the
 	// table depends only on (profile, resolution, window, quantization
 	// flag), and rebuilding it was most of every solveMix call.
@@ -79,24 +82,29 @@ type planScratch struct {
 	dpCols   int
 	dpValid  int // candidate rows of `rows` that match prevProf
 
-	// Layer-A replay cache (see warmstart.go).
-	replay replayState
-
 	// Workers>1 parallel candidate construction (see parallel.go).
 	par parScratch
 
 	// Stage 3: assembly. placed is the arena all *placed pointers index
-	// into; memberArena backs the per-host continuous-batching member
-	// slices; ids backs the emitted Assignment.Requests slices.
+	// into; lane holds the late requests the best-effort lane serves;
+	// memberArena backs the per-host continuous-batching member slices;
+	// ids backs the emitted Assignment.Requests slices.
 	ordered     []selection
 	placed      []placed
 	placedPtr   []*placed
+	lane        []*sched.RequestState
 	lateArena   []candidate
 	unplaced    []*candidate
 	batchable   []*placed
 	memberArena []*candidate
 	ids         []workload.RequestID
 	plan        []sched.Assignment
+}
+
+// resTmin is one resolution's cached Profile.MinStepTime.
+type resTmin struct {
+	res  model.Resolution
+	tmin time.Duration
 }
 
 // degCfg is one profiled degree's effective cost inside minGPUHourMix.
@@ -124,7 +132,7 @@ func (s *Scheduler) ensureMemo(prof *costmodel.Profile) {
 	sc := &s.scratch
 	if sc.mixMemo == nil || sc.memoProf != prof || sc.memoVersion != prof.Version() {
 		sc.mixMemo = make(map[mixKey][]mixEntry)
-		sc.tminCache = make(map[model.Resolution]time.Duration)
+		sc.tmins = sc.tmins[:0]
 		sc.cfgCache = make(map[model.Resolution][]degCfg)
 		sc.memoProf = prof
 		sc.memoVersion = prof.Version()
@@ -137,11 +145,13 @@ func (s *Scheduler) ensureMemo(prof *costmodel.Profile) {
 // partition stage has already interned every pending resolution.
 func (s *Scheduler) minStep(prof *costmodel.Profile, res model.Resolution) time.Duration {
 	sc := &s.scratch
-	if t, ok := sc.tminCache[res]; ok {
-		return t
+	for i := range sc.tmins {
+		if sc.tmins[i].res == res {
+			return sc.tmins[i].tmin
+		}
 	}
 	t, _ := prof.MinStepTime(res)
-	sc.tminCache[res] = t
+	sc.tmins = append(sc.tmins, resTmin{res: res, tmin: t})
 	return t
 }
 
@@ -168,6 +178,11 @@ func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestSta
 	if now+time.Duration(st.Remaining)*tmin <= st.Deadline() {
 		return false
 	}
+	// With caching off the rescue projection below is the plain bound just
+	// failed plus a non-negative margin, so it cannot pass either.
+	if s.cfg.MaxCacheInterval <= 1 {
+		return true
+	}
 	// Same projection (and margin) as the rescue gate in addCachedOptions: a
 	// request is only kept alive for the cache dimension when a rescue could
 	// actually be planned for it — relief without a plannable rescue would
@@ -175,7 +190,7 @@ func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestSta
 	total := st.Req.Steps - st.Req.SkippedSteps
 	done := total - st.Remaining
 	budgetLeft := st.Req.QualityBudget - st.QualityUsed
-	return !s.cacheFeasibleAt(prof, st, now, st.Remaining, done, budgetLeft)
+	return !s.cacheFeasibleAt(prof, st, tmin, now, st.Remaining, done, budgetLeft)
 }
 
 // putMix1 / putMix2 materialize a mix into the per-plan slab, returning a
@@ -194,11 +209,9 @@ func (sc *planScratch) putMix2(a, b mixEntry) []mixEntry {
 	return sc.mixArena[start:len(sc.mixArena):len(sc.mixArena)]
 }
 
-// grabCandidates returns n zeroed candidate slots with stable addresses.
+// grabCandidates returns n candidate slots with stable addresses; callers
+// overwrite each slot they use. Growth is amortized like append's.
 func (sc *planScratch) grabCandidates(n int) []candidate {
-	if cap(sc.candArena) < n {
-		sc.candArena = make([]candidate, n)
-	}
-	sc.candArena = sc.candArena[:n]
+	sc.candArena = slices.Grow(sc.candArena[:0], n)[:n]
 	return sc.candArena
 }

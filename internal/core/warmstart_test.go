@@ -69,40 +69,33 @@ func TestParallelPlanEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmReplayHit: an identical snapshot must be answered from the Layer-A
-// cache — same plan, one replay hit — and any input perturbation must miss.
-func TestWarmReplayHit(t *testing.T) {
-	s := newTestScheduler(t)
-	st := mkState(1, model.Res1024, 50, 0, 5*time.Second)
-	ctx := mkCtx(0, testTopo.AllMask(), st)
-
-	first := testClonePlan(s.Plan(ctx))
-	second := s.Plan(ctx)
-	if s.Warm().ReplayHits != 1 {
-		t.Fatalf("ReplayHits = %d, want 1", s.Warm().ReplayHits)
-	}
-	if !reflect.DeepEqual(first, testClonePlan(second)) {
-		t.Fatalf("replayed plan differs:\n first: %+v\nsecond: %+v", first, second)
-	}
-
-	st.Remaining--
-	s.Plan(ctx)
-	if s.Warm().ReplayHits != 1 {
-		t.Fatal("perturbed snapshot must not hit the replay cache")
-	}
-}
-
-// TestWarmReplayGatedOnPreservation: with random placement the cache must
-// stay cold — a skipped solve would skip RNG draws and desynchronize every
-// later round from a cold-planned run.
+// TestWarmReplayGatedOnPreservation: with random placement, re-planning an
+// unchanged snapshot must draw fresh placements exactly as a cold solve
+// does — warm start may reuse DP rows but never skip the RNG draws that
+// placement makes, or every later round would desynchronize.
 func TestWarmReplayGatedOnPreservation(t *testing.T) {
-	s := newTestScheduler(t, func(c *Config) { c.PlacementPreservation = false })
-	ctx := mkCtx(0, testTopo.AllMask(), mkState(1, model.Res1024, 50, 0, 5*time.Second))
-	s.Plan(ctx)
-	s.Plan(ctx)
-	if s.Warm().ReplayHits != 0 {
-		t.Fatalf("ReplayHits = %d with preservation off, want 0", s.Warm().ReplayHits)
+	noPreserve := func(c *Config) { c.PlacementPreservation = false }
+	warm := newTestScheduler(t, noPreserve)
+	cold := newTestScheduler(t, noPreserve, func(c *Config) { c.WarmStart = false })
+	var pending []*sched.RequestState
+	for i := 0; i < 6; i++ {
+		pending = append(pending, mkState(i+1, model.Res256, 50, 0, 30*time.Second))
 	}
+	ctx := mkCtx(0, testTopo.AllMask(), pending...)
+	var plans [][]sched.Assignment
+	for round := 0; round < 4; round++ {
+		wp := testClonePlan(warm.Plan(ctx))
+		if cp := testClonePlan(cold.Plan(ctx)); !reflect.DeepEqual(wp, cp) {
+			t.Fatalf("round %d: warm plan diverges from cold:\n warm: %+v\n cold: %+v", round, wp, cp)
+		}
+		plans = append(plans, wp)
+	}
+	for _, p := range plans[1:] {
+		if !reflect.DeepEqual(p, plans[0]) {
+			return
+		}
+	}
+	t.Fatal("random placement drew the same groups every round; the test does not exercise the RNG")
 }
 
 // TestWarmStartResumesDPRows: across rounds where only part of the pending
@@ -126,15 +119,14 @@ func TestWarmStartResumesDPRows(t *testing.T) {
 	}
 }
 
-// TestWarmStartDisabledSolvesCold: with the knob off, no replay hits and no
-// resumed rows, ever.
+// TestWarmStartDisabledSolvesCold: with the knob off, no resumed rows, ever.
 func TestWarmStartDisabledSolvesCold(t *testing.T) {
 	s := newTestScheduler(t, func(c *Config) { c.WarmStart = false })
 	ctx := mkCtx(0, testTopo.AllMask(), mkState(1, model.Res1024, 50, 0, 5*time.Second))
 	s.Plan(ctx)
 	s.Plan(ctx)
 	w := s.Warm()
-	if w.ReplayHits != 0 || w.ResumedRows != 0 {
+	if w.ResumedRows != 0 {
 		t.Fatalf("WarmStart=false must solve cold, got %+v", w)
 	}
 }
@@ -194,8 +186,9 @@ func TestZeroOptionPruning(t *testing.T) {
 }
 
 // TestPlanZeroAllocSteadyState is the planner-side allocation guard: once
-// scratch reaches its high-water mark, Plan must not allocate — neither on
-// the Layer-A replay path nor on a full cold re-solve.
+// scratch reaches its high-water mark, Plan must not allocate — neither when
+// re-planning an unchanged snapshot (every DP row resumes) nor on a full
+// cold re-solve.
 func TestPlanZeroAllocSteadyState(t *testing.T) {
 	resList := model.StandardResolutions()
 	mkPending := func() []*sched.RequestState {
@@ -209,9 +202,9 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 	t.Run("replay", func(t *testing.T) {
 		s := newTestScheduler(t)
 		ctx := mkCtx(0, testTopo.AllMask(), mkPending()...)
-		s.Plan(ctx) // warm the scratch + cache
+		s.Plan(ctx) // warm the scratch and the DP checkpoint
 		if avg := testing.AllocsPerRun(100, func() { s.Plan(ctx) }); avg != 0 {
-			t.Fatalf("replayed Plan allocates %.1f times per call, want 0", avg)
+			t.Fatalf("re-planning an unchanged snapshot allocates %.1f times per call, want 0", avg)
 		}
 	})
 

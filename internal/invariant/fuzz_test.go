@@ -147,8 +147,8 @@ func FuzzPlanRound(f *testing.F) {
 // warmColdEquivalence drives a warm-start scheduler and a cold one through
 // the same evolving sequence of planning snapshots and demands byte-identical
 // plans every round. The evolution mixes the three regimes the incremental
-// planner distinguishes: perturbed rounds (partial DP-prefix reuse, Layer B),
-// repeated identical snapshots (exact replay, Layer A), and churn heavy
+// planner distinguishes: perturbed rounds (partial DP-prefix reuse),
+// repeated identical snapshots (every DP row resumed), and churn heavy
 // enough to force cold solves.
 func warmColdEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint8) {
 	n := 1 << (int(nGPUSel) % 4) // 1, 2, 4, 8 GPUs
@@ -183,7 +183,7 @@ func warmColdEquivalence(t *testing.T, seed uint64, nGPUSel, nReqSel, flags uint
 		}
 		// Evolve the snapshot for the next round.
 		if rng.Intn(4) == 0 {
-			continue // unchanged snapshot: Layer-A replay vs cold re-solve
+			continue // unchanged snapshot: full DP resume vs cold re-solve
 		}
 		ctx.Now += tau
 		for _, st := range ctx.Pending {

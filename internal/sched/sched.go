@@ -11,8 +11,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"tetriserve/internal/costmodel"
@@ -193,28 +195,65 @@ func ValidatePlan(ctx *PlanContext, plan []Assignment) error {
 	return c.Validate(ctx, plan)
 }
 
-// PlanChecker is a reusable ValidatePlan: it keeps its lookup maps across
-// calls (cleared, not reallocated) so validating a plan on the control loop's
-// hot path allocates nothing once the maps have grown to the working-set
-// size. The zero value is ready to use; not safe for concurrent use.
+// PlanChecker is a reusable ValidatePlan. It indexes only the plan's request
+// IDs — a plan names a handful of requests while the pending set may hold
+// hundreds — and keeps that index across calls, so validating a plan on the
+// control loop's hot path neither hashes the backlog nor allocates once the
+// index has grown to the largest plan. The zero value is ready to use; not
+// safe for concurrent use.
 type PlanChecker struct {
-	pending map[workload.RequestID]*RequestState
-	claimed map[workload.RequestID]bool
+	// ids holds the plan's distinct request IDs in ascending order, each
+	// with the pending state it names (nil if none) and whether an
+	// assignment has claimed it yet.
+	ids []plannedID
+}
+
+type plannedID struct {
+	id      workload.RequestID
+	st      *RequestState
+	claimed bool
+}
+
+// index builds c.ids for plan against ctx.Pending. When ctx.Pending repeats
+// an ID, the last entry wins.
+func (c *PlanChecker) index(ctx *PlanContext, plan []Assignment) {
+	// filter has bit id%64 set for every planned ID, so most pending
+	// requests are passed over without a search.
+	ids := c.ids[:0]
+	var filter uint64
+	for i := range plan {
+		for _, id := range plan[i].Requests {
+			ids = append(ids, plannedID{id: id})
+			filter |= 1 << (uint64(id) % 64)
+		}
+	}
+	slices.SortFunc(ids, func(a, b plannedID) int { return cmp.Compare(a.id, b.id) })
+	ids = slices.CompactFunc(ids, func(a, b plannedID) bool { return a.id == b.id })
+	c.ids = ids
+	unresolved := len(ids)
+	for i := len(ctx.Pending) - 1; i >= 0 && unresolved > 0; i-- {
+		st := ctx.Pending[i]
+		if id := st.Req.ID; filter&(1<<(uint64(id)%64)) != 0 {
+			if e := c.lookup(id); e != nil && e.st == nil {
+				e.st = st
+				unresolved--
+			}
+		}
+	}
+}
+
+// lookup returns id's entry in c.ids, or nil.
+func (c *PlanChecker) lookup(id workload.RequestID) *plannedID {
+	i, ok := slices.BinarySearchFunc(c.ids, id, func(e plannedID, id workload.RequestID) int { return cmp.Compare(e.id, id) })
+	if !ok {
+		return nil
+	}
+	return &c.ids[i]
 }
 
 // Validate performs the same checks as ValidatePlan.
 func (c *PlanChecker) Validate(ctx *PlanContext, plan []Assignment) error {
-	if c.pending == nil {
-		c.pending = make(map[workload.RequestID]*RequestState, len(ctx.Pending))
-		c.claimed = make(map[workload.RequestID]bool)
-	} else {
-		clear(c.pending)
-		clear(c.claimed)
-	}
-	pending, claimed := c.pending, c.claimed
-	for _, st := range ctx.Pending {
-		pending[st.Req.ID] = st
-	}
+	c.index(ctx, plan)
 	used := simgpu.Mask(0)
 	for i := range plan {
 		a := &plan[i]
@@ -233,14 +272,15 @@ func (c *PlanChecker) Validate(ctx *PlanContext, plan []Assignment) error {
 		}
 		var firstRes *RequestState
 		for _, id := range a.Requests {
-			st, ok := pending[id]
-			if !ok {
+			e := c.lookup(id)
+			if e.st == nil {
 				return fmt.Errorf("sched: assignment %d references unknown or running request %d", i, id)
 			}
-			if claimed[id] {
+			if e.claimed {
 				return fmt.Errorf("sched: request %d appears in two assignments", id)
 			}
-			claimed[id] = true
+			e.claimed = true
+			st := e.st
 			// A batched block may nominally exceed a member's remaining
 			// steps (the member exits the batch early); single-request
 			// assignments must not.
