@@ -35,9 +35,9 @@ bench-ci:
 	$(GO) run ./cmd/tetribench -o /tmp/bench_candidate.json
 	$(GO) run ./scripts/benchdiff BENCH_planner.json /tmp/bench_candidate.json
 
-# Short randomized sweep of the invariant fuzz targets (the committed
-# seed corpus under internal/invariant/testdata/fuzz replays in the plain
-# test run; this explores beyond it). FUZZTIME tunes the per-target budget.
+# Short randomized sweep of the fuzz targets (the committed seed corpora
+# under internal/invariant/testdata/fuzz and internal/lifecycle/testdata/fuzz
+# replay in the plain test run; this explores beyond them). FUZZTIME tunes the per-target budget.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzPlanRound$$' -fuzztime $(FUZZTIME)
@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzElasticControlLoop$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzWarmStart$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/invariant -run '^$$' -fuzz '^FuzzCacheAwarePlan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lifecycle -run '^$$' -fuzz '^FuzzTimelineJSON$$' -fuzztime $(FUZZTIME)
 
 # End-to-end smoke test of the telemetry plane against a real daemon:
 # scrape /metrics, read /v1/rounds, follow the live trace, run tetrictl top.

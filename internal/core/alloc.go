@@ -62,7 +62,7 @@ func (s *Scheduler) buildCandidate(prof *costmodel.Profile, now, tNext time.Dura
 	s.ensureMemo(prof) // no-op (and write-free) when the profile is unchanged
 	res := st.Req.Res
 	budget := st.Deadline() - now
-	tmin := s.minStep(prof, res)
+	tmin, _ := prof.MinStepTime(res)
 
 	mix := s.minGPUHourMix(prof, res, st.Remaining, budget)
 	*c = candidate{st: st, tmin: tmin}
@@ -184,7 +184,7 @@ func (s *Scheduler) addCachedOptions(prof *costmodel.Profile, tNext time.Duratio
 // can still meet st's deadline in the best cache-assisted case: every
 // approximable step (outside the protected first/last CacheProtectedSteps,
 // capped by the budget) runs at γ·tmin, the rest at plain tmin (the
-// caller's cached minStep for st's resolution), with
+// caller's Profile.MinStepTime for st's resolution), with
 // cacheRescueMargin of slack absorbing round quantization and jitter. This
 // single projection backs the definitely-late relief, the protected-prefix
 // survival flip, and the per-option rescue gate, so a request is kept alive

@@ -54,13 +54,6 @@ type planScratch struct {
 	mixArena    []mixEntry
 	memoProf    *costmodel.Profile
 	memoVersion uint64
-	// tmins memoizes Profile.MinStepTime per resolution — the lookup is a
-	// degree-loop of map probes and the planner needs it twice per pending
-	// request per round (late partition + candidate survival bounds). A
-	// profile holds a handful of resolutions, so a linear scan of this slice
-	// beats hashing the key. Tied to the memo epoch: reset only when the
-	// profile identity/version moves.
-	tmins []resTmin
 	// cfgCache memoizes buildDegCfgs per resolution on the same epoch: the
 	// table depends only on (profile, resolution, window, quantization
 	// flag), and rebuilding it was most of every solveMix call.
@@ -101,12 +94,6 @@ type planScratch struct {
 	plan        []sched.Assignment
 }
 
-// resTmin is one resolution's cached Profile.MinStepTime.
-type resTmin struct {
-	res  model.Resolution
-	tmin time.Duration
-}
-
 // degCfg is one profiled degree's effective cost inside minGPUHourMix.
 type degCfg struct {
 	k int
@@ -132,27 +119,10 @@ func (s *Scheduler) ensureMemo(prof *costmodel.Profile) {
 	sc := &s.scratch
 	if sc.mixMemo == nil || sc.memoProf != prof || sc.memoVersion != prof.Version() {
 		sc.mixMemo = make(map[mixKey][]mixEntry)
-		sc.tmins = sc.tmins[:0]
 		sc.cfgCache = make(map[model.Resolution][]degCfg)
 		sc.memoProf = prof
 		sc.memoVersion = prof.Version()
 	}
-}
-
-// minStep is the cached Profile.MinStepTime (value identical by
-// construction, so planning decisions cannot shift). The parallel candidate
-// pass reads the cache concurrently; that is safe because Plan's sequential
-// partition stage has already interned every pending resolution.
-func (s *Scheduler) minStep(prof *costmodel.Profile, res model.Resolution) time.Duration {
-	sc := &s.scratch
-	for i := range sc.tmins {
-		if sc.tmins[i].res == res {
-			return sc.tmins[i].tmin
-		}
-	}
-	t, _ := prof.MinStepTime(res)
-	sc.tmins = append(sc.tmins, resTmin{res: res, tmin: t})
-	return t
 }
 
 // degCfgs is the cached buildDegCfgs. The parallel candidate pass reads the
@@ -168,13 +138,13 @@ func (s *Scheduler) degCfgs(prof *costmodel.Profile, res model.Resolution) []deg
 	return c
 }
 
-// definitelyLate mirrors sched.RequestState.DefinitelyLate through the
-// tmin cache. With step caching enabled, a request is only definitely late
-// if it misses its deadline even after spending its whole remaining quality
-// budget at the maximum cache interval — the cache dimension turns some
-// would-be drops back into packable candidates.
+// definitelyLate mirrors sched.RequestState.DefinitelyLate. With step
+// caching enabled, a request is only definitely late if it misses its
+// deadline even after spending its whole remaining quality budget at the
+// maximum cache interval — the cache dimension turns some would-be drops
+// back into packable candidates.
 func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestState, now time.Duration) bool {
-	tmin := s.minStep(prof, st.Req.Res)
+	tmin, _ := prof.MinStepTime(st.Req.Res)
 	if now+time.Duration(st.Remaining)*tmin <= st.Deadline() {
 		return false
 	}

@@ -3,7 +3,6 @@ package costmodel
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"tetriserve/internal/model"
@@ -37,7 +36,8 @@ type profileEntryJSON struct {
 	Samples int     `json:"samples"`
 }
 
-// MarshalJSON implements json.Marshaler with deterministic entry order.
+// MarshalJSON implements json.Marshaler with deterministic entry order:
+// by resolution (pixels, then width), degree, batch.
 func (p *Profile) MarshalJSON() ([]byte, error) {
 	out := profileJSON{
 		Model:             p.ModelName,
@@ -46,25 +46,12 @@ func (p *Profile) MarshalJSON() ([]byte, error) {
 		CachedStepRelCost: p.cachedRelCost,
 		Degrees:           p.degrees,
 	}
-	keys := make([]Key, 0, len(p.entries))
-	for k := range p.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Res.Pixels() != b.Res.Pixels() {
-			return a.Res.Pixels() < b.Res.Pixels()
-		}
-		if a.Degree != b.Degree {
-			return a.Degree < b.Degree
-		}
-		return a.Batch < b.Batch
-	})
-	for _, k := range keys {
-		e := p.entries[k]
-		out.Entries = append(out.Entries, profileEntryJSON{
-			W: k.Res.W, H: k.Res.H, Degree: k.Degree, Batch: k.Batch,
-			MeanUS: e.Mean.Microseconds(), CV: e.CV, Samples: e.Samples,
+	for _, r := range p.rows {
+		r.each(func(k, bs int, e Entry) {
+			out.Entries = append(out.Entries, profileEntryJSON{
+				W: r.res.W, H: r.res.H, Degree: k, Batch: bs,
+				MeanUS: e.Mean.Microseconds(), CV: e.CV, Samples: e.Samples,
+			})
 		})
 	}
 	return json.Marshal(out)
@@ -82,28 +69,31 @@ func (p *Profile) UnmarshalJSON(data []byte) error {
 	if in.CachedStepRelCost < 0 || in.CachedStepRelCost > 1 {
 		return fmt.Errorf("costmodel: cached_step_rel_cost %v outside [0, 1]", in.CachedStepRelCost)
 	}
+	// Entries land in a fresh table: a decode error leaves p untouched.
+	t := Profile{degrees: in.Degrees}
+	for _, e := range in.Entries {
+		if e.MeanUS <= 0 {
+			return fmt.Errorf("costmodel: non-positive step time for %dx%d k=%d", e.W, e.H, e.Degree)
+		}
+		key := Key{Res: model.Resolution{W: e.W, H: e.H}, Degree: e.Degree, Batch: e.Batch}
+		t.set(key, Entry{
+			Mean:    time.Duration(e.MeanUS) * time.Microsecond,
+			CV:      e.CV,
+			Samples: e.Samples,
+		})
+	}
+	t.indexMins()
 	p.ModelName = in.Model
 	p.TopoName = in.Topo
 	p.Noise = in.Noise
 	p.cachedRelCost = in.CachedStepRelCost
 	p.degrees = in.Degrees
+	p.rows = t.rows
 	// A loaded table is as real as a freshly built one: version must land
 	// ≥ 1 so derived caches keyed on (profile, version) never alias a loaded
 	// profile with the zero value, and loading over an existing table must
 	// bump — the entries or the discount table may differ, and memoized
 	// mixes derived from the old values have to invalidate.
 	p.version++
-	p.entries = make(map[Key]Entry, len(in.Entries))
-	for _, e := range in.Entries {
-		if e.MeanUS <= 0 {
-			return fmt.Errorf("costmodel: non-positive step time for %dx%d k=%d", e.W, e.H, e.Degree)
-		}
-		key := Key{Res: model.Resolution{W: e.W, H: e.H}, Degree: e.Degree, Batch: e.Batch}
-		p.entries[key] = Entry{
-			Mean:    time.Duration(e.MeanUS) * time.Microsecond,
-			CV:      e.CV,
-			Samples: e.Samples,
-		}
-	}
 	return nil
 }

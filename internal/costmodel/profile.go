@@ -1,8 +1,9 @@
 package costmodel
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"tetriserve/internal/model"
@@ -46,7 +47,11 @@ type Profile struct {
 	// profiling; the engine reuses it when executing.
 	Noise   float64
 	degrees []int
-	entries map[Key]Entry
+	// rows is the table, one row per profiled resolution in ascending
+	// (pixels, width) order. A profile holds a handful of resolutions, so a
+	// lookup scans rows and indexes one: cheaper than hashing a Key, and
+	// each row's MinStepTime is precomputed.
+	rows []row
 	// cachedRelCost is γ, the relative cost of a cache-approximated step
 	// (TaylorSeer/cache-dit style residual reuse): a cached step still pays
 	// γ·T for the shallow layers and the residual patch-up. 0 < γ ≤ 1.
@@ -55,6 +60,130 @@ type Profile struct {
 	// recalibrations) so readers holding derived caches can detect staleness
 	// cheaply.
 	version uint64
+}
+
+// row is one resolution's slice of the table. Entries are indexed by the
+// position of their degree in ks and their batch in bss (both ascending),
+// degree-major. tmin/kmin is MinStepTime over the profile's degree list;
+// when some listed degree has no batch-1 entry, miss holds the panic a
+// degree-by-degree StepTime scan would raise at the first such degree.
+type row struct {
+	res     model.Resolution
+	ks, bss []int
+	cells   []cell
+	tmin    time.Duration
+	kmin    int
+	miss    string
+}
+
+type cell struct {
+	e  Entry
+	ok bool
+}
+
+func indexOf(xs []int, x int) int {
+	for i, v := range xs {
+		if v == x {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *row) lookup(k, bs int) (Entry, bool) {
+	ki, bi := indexOf(r.ks, k), indexOf(r.bss, bs)
+	if ki < 0 || bi < 0 {
+		return Entry{}, false
+	}
+	c := r.cells[ki*len(r.bss)+bi]
+	return c.e, c.ok
+}
+
+// each visits the row's entries by ascending degree, then batch.
+func (r *row) each(fn func(k, bs int, e Entry)) {
+	for i, k := range r.ks {
+		for j, bs := range r.bss {
+			if c := r.cells[i*len(r.bss)+j]; c.ok {
+				fn(k, bs, c.e)
+			}
+		}
+	}
+}
+
+// put stores e at (k, bs), widening the row's axes when either is new.
+func (r *row) put(k, bs int, e Entry) {
+	if indexOf(r.ks, k) < 0 || indexOf(r.bss, bs) < 0 {
+		old := *r
+		r.ks = insertSorted(old.ks, k)
+		r.bss = insertSorted(old.bss, bs)
+		r.cells = make([]cell, len(r.ks)*len(r.bss))
+		for i, ko := range old.ks {
+			for j, bo := range old.bss {
+				r.cells[indexOf(r.ks, ko)*len(r.bss)+indexOf(r.bss, bo)] = old.cells[i*len(old.bss)+j]
+			}
+		}
+	}
+	r.cells[indexOf(r.ks, k)*len(r.bss)+indexOf(r.bss, bs)] = cell{e: e, ok: true}
+}
+
+// insertSorted returns a fresh ascending copy of xs with x added once.
+func insertSorted(xs []int, x int) []int {
+	i, found := slices.BinarySearch(xs, x)
+	out := slices.Clone(xs)
+	if found {
+		return out
+	}
+	return slices.Insert(out, i, x)
+}
+
+// row returns res's row, or nil when res was never profiled.
+func (p *Profile) row(res model.Resolution) *row {
+	for i := range p.rows {
+		if p.rows[i].res == res {
+			return &p.rows[i]
+		}
+	}
+	return nil
+}
+
+// set stores one entry, adding res's row (in table order) when it is new.
+// Callers run indexMins once they are done writing.
+func (p *Profile) set(k Key, e Entry) {
+	r := p.row(k.Res)
+	if r == nil {
+		i, _ := slices.BinarySearchFunc(p.rows, k.Res, func(r row, res model.Resolution) int {
+			if c := cmp.Compare(r.res.Pixels(), res.Pixels()); c != 0 {
+				return c
+			}
+			return cmp.Compare(r.res.W, res.W)
+		})
+		p.rows = slices.Insert(p.rows, i, row{res: k.Res})
+		r = &p.rows[i]
+	}
+	r.put(k.Degree, k.Batch, e)
+}
+
+// indexMins precomputes every row's MinStepTime over the degree list, with
+// the first-fastest tie-break of a degree-by-degree scan.
+func (p *Profile) indexMins() {
+	for i := range p.rows {
+		r := &p.rows[i]
+		r.tmin, r.kmin, r.miss = 0, 0, ""
+		for _, k := range p.degrees {
+			e, ok := r.lookup(k, 1)
+			if !ok {
+				r.miss = unprofiled(r.res, k, 1)
+				break
+			}
+			if r.kmin == 0 || e.Mean < r.tmin {
+				r.tmin, r.kmin = e.Mean, k
+			}
+		}
+	}
+}
+
+func unprofiled(res model.Resolution, k, bs int) string {
+	return fmt.Sprintf("costmodel: unprofiled configuration %v k=%d bs=%d", res, k, bs)
 }
 
 // DefaultCachedStepRelCost is the calibrated relative cost γ of a
@@ -74,8 +203,10 @@ func (p *Profile) MaxDegree() int { return p.degrees[len(p.degrees)-1] }
 
 // Lookup returns the entry for an exact key.
 func (p *Profile) Lookup(res model.Resolution, k, bs int) (Entry, bool) {
-	e, ok := p.entries[Key{res, k, bs}]
-	return e, ok
+	if r := p.row(res); r != nil {
+		return r.lookup(k, bs)
+	}
+	return Entry{}, false
 }
 
 // StepTime returns the profiled per-step latency at degree k, batch 1.
@@ -87,9 +218,9 @@ func (p *Profile) StepTime(res model.Resolution, k int) time.Duration {
 
 // StepTimeBatch returns the profiled per-step latency for a batch of bs.
 func (p *Profile) StepTimeBatch(res model.Resolution, k, bs int) time.Duration {
-	e, ok := p.entries[Key{res, k, bs}]
+	e, ok := p.Lookup(res, k, bs)
 	if !ok {
-		panic(fmt.Sprintf("costmodel: unprofiled configuration %v k=%d bs=%d", res, k, bs))
+		panic(unprofiled(res, k, bs))
 	}
 	return e.Mean
 }
@@ -147,17 +278,27 @@ func (p *Profile) StepTimeCached(res model.Resolution, k, interval int) time.Dur
 }
 
 // MinStepTime returns the fastest profiled per-step latency for res and the
-// degree achieving it — T_i^min in Algorithm 1's survival bound.
+// degree achieving it — T_i^min in Algorithm 1's survival bound. The
+// first-listed degree wins ties. A resolution missing a batch-1 entry at
+// any listed degree panics like StepTime.
 func (p *Profile) MinStepTime(res model.Resolution) (time.Duration, int) {
-	best := time.Duration(0)
-	bestK := 0
-	for _, k := range p.degrees {
-		t := p.StepTime(res, k)
-		if bestK == 0 || t < best {
-			best, bestK = t, k
+	for i := range p.rows {
+		if r := &p.rows[i]; r.res == res && r.miss == "" {
+			return r.tmin, r.kmin
 		}
 	}
-	return best, bestK
+	return p.minStepMiss(res)
+}
+
+// minStepMiss is MinStepTime for a resolution without a complete row.
+func (p *Profile) minStepMiss(res model.Resolution) (time.Duration, int) {
+	if r := p.row(res); r != nil {
+		panic(r.miss)
+	}
+	if len(p.degrees) == 0 {
+		return 0, 0
+	}
+	panic(unprofiled(res, p.degrees[0], 1))
 }
 
 // BestLatencyDegree returns the degree minimizing per-step latency.
@@ -168,21 +309,16 @@ func (p *Profile) BestLatencyDegree(res model.Resolution) int {
 
 // Resolutions returns the profiled resolutions sorted by token count.
 func (p *Profile) Resolutions() []model.Resolution {
-	seen := map[model.Resolution]bool{}
 	var out []model.Resolution
-	for k := range p.entries {
-		if !seen[k.Res] {
-			seen[k.Res] = true
-			out = append(out, k.Res)
-		}
+	for _, r := range p.rows {
+		out = append(out, r.res)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pixels() < out[j].Pixels() })
 	return out
 }
 
 // Has reports whether res was profiled at degree 1, batch 1.
 func (p *Profile) Has(res model.Resolution) bool {
-	_, ok := p.entries[Key{res, 1, 1}]
+	_, ok := p.Lookup(res, 1, 1)
 	return ok
 }
 
@@ -238,7 +374,6 @@ func BuildProfile(est *Estimator, cfg ProfilerConfig) *Profile {
 		TopoName:      est.Topo.Name,
 		Noise:         cfg.Noise,
 		degrees:       est.Topo.Degrees(),
-		entries:       make(map[Key]Entry),
 		cachedRelCost: cfg.CachedStepRelCost,
 		version:       1,
 	}
@@ -252,14 +387,15 @@ func BuildProfile(est *Estimator, cfg ProfilerConfig) *Profile {
 					sample := Jitter(mean, cfg.Noise, rng)
 					acc.Add(sample.Seconds())
 				}
-				p.entries[Key{res, k, bs}] = Entry{
+				p.set(Key{res, k, bs}, Entry{
 					Mean:    time.Duration(acc.Mean() * float64(time.Second)),
 					CV:      acc.CV(),
 					Samples: cfg.Samples,
-				}
+				})
 			}
 		}
 	}
+	p.indexMins()
 	return p
 }
 
@@ -280,9 +416,10 @@ func (p *Profile) Extend(est *Estimator, res model.Resolution) {
 		Noise:       p.Noise,
 		Seed:        uint64(res.W)<<20 ^ uint64(res.H) ^ 42,
 	})
-	for k, e := range sub.entries {
-		p.entries[k] = e
+	for _, r := range sub.rows {
+		r.each(func(k, bs int, e Entry) { p.set(Key{r.res, k, bs}, e) })
 	}
+	p.indexMins()
 	p.version++
 }
 

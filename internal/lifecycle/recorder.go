@@ -1,7 +1,6 @@
 package lifecycle
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -52,6 +51,8 @@ type Recorder struct {
 
 	finalized int
 	sinkErr   error
+	// line is the sink's encode buffer, reused for every finalized timeline.
+	line []byte
 
 	tenants map[string]*tenantAgg
 	phases  map[string]*phaseAgg
@@ -418,24 +419,36 @@ func (r *Recorder) finalize(tl *Timeline) {
 		r.phases[tl.Class] = pa
 	}
 	pa.count++
-	for kind, secs := range tl.PhaseSeconds() {
-		switch kind {
+	// PhaseSeconds without its map: each phase is summed in span order, then
+	// added to the aggregate once, so the float results are the same.
+	var planWait, queue, compute float64
+	for _, s := range tl.Spans {
+		d := s.Duration()
+		if d <= 0 {
+			continue
+		}
+		switch s.Kind {
 		case SpanPlanWait:
-			pa.planWait += secs
+			planWait += d.Seconds()
 		case SpanQueue:
-			pa.queue += secs
+			queue += d.Seconds()
 		case SpanCompute:
-			pa.compute += secs
+			compute += d.Seconds()
 		}
 	}
+	pa.planWait += planWait
+	pa.queue += queue
+	pa.compute += compute
 
 	if r.cfg.OnFinalized != nil {
 		r.cfg.OnFinalized(tl)
 	}
 	if r.cfg.Sink != nil && r.sinkErr == nil {
-		if data, err := json.Marshal(tl); err != nil {
+		line, err := appendLine(r.line[:0], tl)
+		r.line = line
+		if err != nil {
 			r.sinkErr = err
-		} else if _, err := r.cfg.Sink.Write(append(data, '\n')); err != nil {
+		} else if _, err := r.cfg.Sink.Write(line); err != nil {
 			r.sinkErr = err
 		}
 	}

@@ -205,11 +205,9 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			// and never plan later arrivals. Termination is handled by the
 			// harness (all arrivals consumed, every shard drained).
 			Perpetual: true,
-			Preallocate: control.Prealloc{
-				Requests: len(cfg.Requests),
-				Runs:     8 * len(cfg.Requests),
-				Rounds:   8 * len(cfg.Requests),
-			},
+			// No Preallocate hint: the router splits the trace across the
+			// shards, so a whole-trace hint would reserve it once per
+			// shard. Each shard's ledgers grow with its own traffic.
 		}
 		if cfg.CheckInvariants {
 			oracles[i] = invariant.Attach(&ctlCfg)

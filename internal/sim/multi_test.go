@@ -225,3 +225,34 @@ func TestRunShardedTenantAccounting(t *testing.T) {
 }
 
 var _ sched.Scheduler = (*core.Scheduler)(nil)
+
+// TestRunShardedLedgersFollowShardTraffic: each shard's result ledgers grow
+// with the traffic that shard handles. A whole-trace size hint would
+// reserve every shard's ledgers for all of the requests instead.
+func TestRunShardedLedgersFollowShardTraffic(t *testing.T) {
+	trace := smallMixTrace(400, 11, 160, 1.5)
+	res, err := RunSharded(ShardedConfig{
+		Model:          testMdl,
+		Shards:         shardSpecs(4, 2),
+		Requests:       trace,
+		DropLateFactor: 4.0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := func(n, c int) bool { return c <= 2*n+64 }
+	for i, s := range res.Shards {
+		if len(s.Outcomes) == 0 {
+			t.Fatalf("shard %d handled no requests; the trace does not exercise the fleet", i)
+		}
+		if !fits(len(s.Outcomes), cap(s.Outcomes)) {
+			t.Errorf("shard %d: Outcomes cap %d for %d outcomes", i, cap(s.Outcomes), len(s.Outcomes))
+		}
+		if !fits(len(s.Runs), cap(s.Runs)) {
+			t.Errorf("shard %d: Runs cap %d for %d runs", i, cap(s.Runs), len(s.Runs))
+		}
+		if !fits(len(s.PlanLatencies), cap(s.PlanLatencies)) {
+			t.Errorf("shard %d: PlanLatencies cap %d for %d plans", i, cap(s.PlanLatencies), len(s.PlanLatencies))
+		}
+	}
+}

@@ -158,13 +158,13 @@ func newSimulator(cfg Config) (*simulator, error) {
 		// the run (panic), not leak into experiment tables.
 		Strict: true,
 		Hooks:  cfg.Hooks,
-		// The trace length bounds every accumulator: sizing them up front
-		// keeps the event loop free of growth reallocations. Round-based
-		// schedulers split a request across many short blocks (one per
-		// surviving round), so the run ledger needs a much larger factor
-		// than the request count suggests; 8× covers observed mixed-SLO
-		// traces (≈6 runs and ≈5 rounds per request) with headroom, and a
-		// miss only costs one growth step.
+		// This one loop gets the whole trace, so the trace length sizes
+		// every accumulator up front. Round-based schedulers split a
+		// request across many short blocks (one per surviving round), so
+		// the run and round ledgers get 8× the request count. That is a
+		// hint, not a bound: an overloaded trace can exceed it (≈9.5
+		// blocks per request on the benchmark's 1.2× sim-deep trace), and
+		// a miss costs one amortized growth step.
 		Preallocate: control.Prealloc{
 			Requests: len(cfg.Requests),
 			Runs:     8 * len(cfg.Requests),
