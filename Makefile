@@ -18,7 +18,7 @@ race:
 
 # Control-plane micro-benchmarks via `go test` (human-readable).
 bench:
-	$(GO) test -run=NONE -bench='PlanLatency|StepTimeEstimate|ProfileLookup|Simulation' -benchmem .
+	$(GO) test -run=NONE -bench='PlanLatency|ControlRoundTick|StepTimeEstimate|ProfileLookup|Simulation' -benchmem .
 
 # Machine-readable snapshot of the same micro-benchmarks, written to
 # BENCH_planner.json ({bench, ns_op, allocs_op} records). Commit the

@@ -19,8 +19,11 @@ import (
 	"time"
 
 	tetriserve "tetriserve"
+	"tetriserve/internal/clock"
+	"tetriserve/internal/control"
 	"tetriserve/internal/core"
 	"tetriserve/internal/costmodel"
+	"tetriserve/internal/engine"
 	"tetriserve/internal/experiments"
 	"tetriserve/internal/model"
 	"tetriserve/internal/sched"
@@ -179,16 +182,18 @@ func benchPlanCtxCached(depth int) *sched.PlanContext {
 }
 
 // BenchmarkPlanLatency measures one TetriServe round decision for queue
-// depths the paper tabulates — the <10 ms control-plane claim. Every call
-// re-plans the same snapshot in full: the late/active partition, candidate
-// construction and assembly run over the whole queue, while the DP resumes
-// every row from the previous call's checkpoint. BenchmarkWarmStartPlan
-// isolates the cold and partially-warm regimes.
+// depths the paper tabulates — the <10 ms control-plane claim. The snapshot
+// is split into on-time and late requests once, as the control loop hands
+// it over; every call re-plans it in full — candidate construction and
+// assembly over the on-time requests — while the DP resumes every row from
+// the previous call's checkpoint. BenchmarkWarmStartPlan isolates the cold
+// and partially-warm regimes.
 func BenchmarkPlanLatency(b *testing.B) {
 	for _, depth := range []int{4, 16, 64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("queue=%d", depth), func(b *testing.B) {
 			s := core.NewScheduler(benchProf, benchTopo, core.DefaultConfig())
 			ctx := benchPlanCtx(depth)
+			sched.SplitPending(ctx, s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -211,6 +216,7 @@ func BenchmarkPlanLatencyCached(b *testing.B) {
 			cfg.MaxCacheInterval = 4
 			s := core.NewScheduler(benchProf, benchTopo, cfg)
 			ctx := benchPlanCtxCached(depth)
+			sched.SplitPending(ctx, s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -233,6 +239,9 @@ func BenchmarkWarmStartPlan(b *testing.B) {
 			}
 			s := core.NewScheduler(benchProf, benchTopo, cfg)
 			ctx := benchPlanCtx(depth)
+			// Every request stays on time while its Remaining only cycles
+			// below its initial 50, so the split made here stays exact.
+			sched.SplitPending(ctx, s)
 			s.Plan(ctx)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -246,6 +255,62 @@ func BenchmarkWarmStartPlan(b *testing.B) {
 					st.Remaining = 2 + (st.Remaining+1)%49
 				}
 				s.Plan(ctx)
+			}
+		})
+	}
+}
+
+// BenchmarkControlRoundTick measures the shared control loop's
+// event-dispatch path — plan, engine dispatch, finish/requeue bookkeeping —
+// at a steady queue depth; one iteration dispatches one loop event. Steps
+// never run out, so the queue never shrinks. In the queue=N cases no SLO
+// expires; in late=256 every SLO is already past, so the whole queue is a
+// definitely-late backlog the best-effort lane drains from its front.
+func BenchmarkControlRoundTick(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		depth int
+		slo   time.Duration
+	}{
+		{"queue=16", 16, 1000 * time.Hour},
+		{"queue=64", 64, 1000 * time.Hour},
+		{"queue=256", 256, 1000 * time.Hour},
+		{"late=256", 256, time.Nanosecond},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			clk := clock.NewVirtual()
+			l, err := control.New(control.Config{
+				Model:     benchMdl,
+				Topo:      benchTopo,
+				Scheduler: core.NewScheduler(benchProf, benchTopo, core.DefaultConfig()),
+				Profile:   benchProf,
+				Engine:    engine.DefaultConfig(),
+				Perpetual: true,
+				Preallocate: control.Prealloc{
+					Requests: tc.depth, Runs: 1 << 16, Rounds: 1 << 16,
+				},
+			}, clk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			resList := model.StandardResolutions()
+			for i := 0; i < tc.depth; i++ {
+				l.Arrive(&workload.Request{
+					ID:    workload.RequestID(i),
+					Res:   resList[i%len(resList)],
+					Steps: 1 << 20,
+					SLO:   tc.slo,
+				})
+			}
+			l.Begin()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := l.PopEvent()
+				clk.Advance(ev.At)
+				if err := l.Dispatch(ev); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -45,12 +45,15 @@ var (
 )
 
 // planLatency mirrors BenchmarkPlanLatency: one TetriServe round decision at
-// the given queue depth — the paper's <10 ms control-plane claim. Each call
-// re-plans the unchanged snapshot in full; only the DP resumes its rows.
+// the given queue depth — the paper's <10 ms control-plane claim. The
+// snapshot is split into on-time and late requests once, as the control
+// loop hands it over; each call re-plans it in full and only the DP resumes
+// its rows.
 func planLatency(depth int) func(*testing.B) {
 	return func(b *testing.B) {
 		s := core.NewScheduler(benchProf, benchTopo, core.DefaultConfig())
 		ctx := benchCtx(depth)
+		sched.SplitPending(ctx, s)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -92,6 +95,7 @@ func planLatencyCached(depth int) func(*testing.B) {
 		cfg.MaxCacheInterval = 4
 		s := core.NewScheduler(benchProf, benchTopo, cfg)
 		ctx := benchCtxCached(depth)
+		sched.SplitPending(ctx, s)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -147,6 +151,9 @@ func warmStartPlan(mode string, depth int) func(*testing.B) {
 		}
 		s := core.NewScheduler(benchProf, benchTopo, cfg)
 		ctx := benchCtx(depth)
+		// Every request stays on time while its Remaining only cycles
+		// below its initial 50, so the split made here stays exact.
+		sched.SplitPending(ctx, s)
 		s.Plan(ctx)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -191,11 +198,13 @@ func simEvents(n int) func(*testing.B) {
 
 // controlRoundTick measures the shared control loop's event-dispatch path —
 // plan + engine dispatch + finish/requeue bookkeeping — at a steady queue
-// depth. Requests carry effectively infinite step budgets and SLOs so the
-// pending population never shrinks: every iteration dispatches one loop
-// event (a τ boundary or a block completion) and the cost amortizes to the
-// per-round overhead both the simulator and the online driver pay.
-func controlRoundTick(depth int) func(*testing.B) {
+// depth. Requests carry effectively infinite step budgets so the pending
+// population never shrinks: every iteration dispatches one loop event (a τ
+// boundary or a block completion) and the cost amortizes to the per-round
+// overhead both the simulator and the online driver pay. With a huge SLO
+// every request stays on time; with an SLO already past the whole queue is
+// a definitely-late backlog the best-effort lane drains from its front.
+func controlRoundTick(depth int, slo time.Duration) func(*testing.B) {
 	return func(b *testing.B) {
 		clk := clock.NewVirtual()
 		l, err := control.New(control.Config{
@@ -218,7 +227,7 @@ func controlRoundTick(depth int) func(*testing.B) {
 				ID:    workload.RequestID(i),
 				Res:   resList[i%len(resList)],
 				Steps: 1 << 20,
-				SLO:   1000 * time.Hour,
+				SLO:   slo,
 			})
 		}
 		l.Begin()
@@ -283,6 +292,13 @@ func hookOverhead(depth int) func(*testing.B) {
 		}
 	}
 }
+
+// SLOs for controlRoundTick: one no request outlives, and one already past
+// at arrival.
+const (
+	onTimeSLO = 1000 * time.Hour
+	lateSLO   = time.Nanosecond
+)
 
 func stepTimeEstimate(b *testing.B) {
 	est := costmodel.NewEstimator(benchMdl, benchTopo)
@@ -383,9 +399,10 @@ func main() {
 		{"WarmStartPlan/steady/queue=4096", warmStartPlan("steady", 4096)},
 		{"WarmStartPlan/churn/queue=4096", warmStartPlan("churn", 4096)},
 		{"SimEvents/reqs=150", simEvents(150)},
-		{"ControlRoundTick/queue=16", controlRoundTick(16)},
-		{"ControlRoundTick/queue=64", controlRoundTick(64)},
-		{"ControlRoundTick/queue=256", controlRoundTick(256)},
+		{"ControlRoundTick/queue=16", controlRoundTick(16, onTimeSLO)},
+		{"ControlRoundTick/queue=64", controlRoundTick(64, onTimeSLO)},
+		{"ControlRoundTick/queue=256", controlRoundTick(256, onTimeSLO)},
+		{"ControlRoundTick/late=256", controlRoundTick(256, lateSLO)},
 		{"HookOverhead/queue=64", hookOverhead(64)},
 		{"HookOverhead/queue=256", hookOverhead(256)},
 		{"StepTimeEstimate", stepTimeEstimate},

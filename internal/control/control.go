@@ -253,11 +253,25 @@ type Loop struct {
 	// became pending (ProbeFeasibility sums its float backlog in this
 	// order). byArrival holds the same requests ordered by (Arrival, ID),
 	// equal keys in pending order: the order the scheduler plans in, kept
-	// by insertion so no planning round sorts the backlog. Both change only
-	// through enqueue, removePending and expire.
+	// by insertion so no planning round sorts the backlog, and handed to it
+	// as PlanContext.Pending. When the scheduler has a lateness rule,
+	// onTime and late split byArrival the way sched.SplitPending would at
+	// the last plan: onTime holds the requests not yet found late in
+	// byArrival order, late the rest in (Deadline, Arrival, ID) order. A
+	// pending request turns late once and never back (sched.Lateness), so
+	// a plan only re-judges onTime (splitPending). All four change only
+	// through enqueue, removePending, expire and splitPending.
 	pending   []*sched.RequestState
 	byArrival []*sched.RequestState
-	inflight  map[engine.RunID]*engine.Run
+	onTime    []*sched.RequestState
+	late      []*sched.RequestState
+	// lateness is the scheduler's definitely-late rule, nil when it has
+	// none (onTime and late then stay empty). splitVersion is the profile
+	// version the split was judged under: a version bump can change tmin,
+	// so the split is rebuilt from byArrival.
+	lateness     sched.Lateness
+	splitVersion uint64
+	inflight     map[engine.RunID]*engine.Run
 	// runEv maps in-flight runs to their completion events so GPU faults
 	// can cancel the completions of blocks they abort.
 	runEv map[engine.RunID]eventq.Handle
@@ -278,12 +292,11 @@ type Loop struct {
 	resizeMask   simgpu.Mask
 
 	// Reused per-plan scratch (the control-plane analogue of the planner's
-	// planScratch): snapshot buffers, the PlanContext handed to the
+	// planScratch): the running snapshot, the PlanContext handed to the
 	// scheduler, and the plan validator all live across rounds so a planning
 	// boundary allocates nothing in steady state.
-	ctx      sched.PlanContext
-	pendSnap []*sched.RequestState
-	runSnap  []*sched.RequestState
+	ctx     sched.PlanContext
+	runSnap []*sched.RequestState
 	// running tracks states with Running set, maintained at the three flip
 	// sites so snapshotRunning never walks the full (mostly finished)
 	// request tracker.
@@ -335,6 +348,10 @@ func New(cfg Config, clk clock.Clock) (*Loop, error) {
 	}
 	if e, ok := cfg.Scheduler.(interface{ EagerAdmission() bool }); ok {
 		l.eager = e.EagerAdmission()
+	}
+	if lt, ok := cfg.Scheduler.(sched.Lateness); ok {
+		l.lateness = lt
+		l.splitVersion = cfg.Profile.Version()
 	}
 	return l, nil
 }
@@ -645,14 +662,21 @@ func (l *Loop) nextTick(at time.Duration) time.Duration {
 // returned assignments.
 func (l *Loop) plan(now time.Duration) {
 	l.expire(now)
-	// The context and its snapshot slices are loop-owned scratch, rebuilt in
-	// place every round; hook observers already contract to read them only
-	// synchronously.
+	split := l.lateness != nil
+	if split {
+		l.splitPending(now)
+	}
+	// The context is loop-owned scratch, rebuilt in place every round, and
+	// its request slices are the tracker's own indexes; hook observers and
+	// the scheduler already contract to read them only synchronously.
 	l.ctx = sched.PlanContext{
 		Now:      now,
 		Free:     l.eng.Free(),
 		Capacity: l.eng.Capacity(),
-		Pending:  l.snapshotPending(),
+		Pending:  l.byArrival,
+		Split:    split,
+		OnTime:   l.onTime,
+		Late:     l.late,
 		Running:  l.snapshotRunning(),
 		Profile:  l.cfg.Profile,
 		Topo:     l.cfg.Topo,
@@ -734,7 +758,33 @@ func (l *Loop) expire(now time.Duration) {
 	if dropped {
 		l.pending = slices.DeleteFunc(l.pending, expired)
 		l.byArrival = slices.DeleteFunc(l.byArrival, expired)
+		l.onTime = slices.DeleteFunc(l.onTime, expired)
+		l.late = slices.DeleteFunc(l.late, expired)
 	}
+}
+
+// splitPending brings the onTime/late split up to date at now: each on-time
+// request whose LateFrom has passed moves to late. Late requests are not
+// re-judged — they cannot turn back — so a plan costs O(on-time) here, not
+// O(backlog). A profile version bump re-judges every pending request.
+func (l *Loop) splitPending(now time.Duration) {
+	prof := l.cfg.Profile
+	if v := prof.Version(); v != l.splitVersion {
+		l.splitVersion = v
+		clear(l.late)
+		l.late = l.late[:0]
+		l.onTime = append(l.onTime[:0], l.byArrival...)
+	}
+	kept := l.onTime[:0]
+	for _, st := range l.onTime {
+		if now > l.lateness.LateFrom(prof, st) {
+			l.late = insertOrdered(l.late, st, deadlineOrder)
+		} else {
+			kept = append(kept, st)
+		}
+	}
+	clear(l.onTime[len(kept):])
+	l.onTime = kept
 }
 
 // onGPUFail injects a fail-stop fault: the engine aborts intersecting
@@ -950,20 +1000,6 @@ func (l *Loop) dispatchDelay() time.Duration {
 	return 0
 }
 
-// snapshotPending lists the plannable pending requests in (Arrival, ID)
-// order. Arrival order is part of the FIFO baselines' semantics; re-queued
-// requests must not jump ahead of earlier arrivals.
-func (l *Loop) snapshotPending() []*sched.RequestState {
-	out := l.pendSnap[:0]
-	for _, st := range l.byArrival {
-		if !st.Running && st.Remaining > 0 {
-			out = append(out, st)
-		}
-	}
-	l.pendSnap = out
-	return out
-}
-
 // setRunning / clearRunning keep l.running in sync with st.Running. All
 // Running flips must go through them.
 func (l *Loop) setRunning(st *sched.RequestState) {
@@ -1014,42 +1050,88 @@ func arrivalBefore(a, b *sched.RequestState) bool {
 	return a.Req.ID < b.Req.ID
 }
 
-// enqueue makes st pending: appended to l.pending, and inserted into
-// l.byArrival after every entry that does not sort after it. Arrivals land
-// at the end in O(1); a requeue costs a binary search and one shift.
-func (l *Loop) enqueue(st *sched.RequestState) {
-	l.pending = append(l.pending, st)
-	lo, hi := 0, len(l.byArrival)
+// tierOrder is the sort order of a pending index: arrivalOrder is
+// (Arrival, ID), deadlineOrder (Deadline, Arrival, ID) — deadline order
+// with ties in byArrival order, the stable deadline sort
+// sched.SplitPending defines. A value rather than a comparator func, so
+// the comparison inlines into the searches below.
+type tierOrder bool
+
+const (
+	arrivalOrder  tierOrder = false
+	deadlineOrder tierOrder = true
+)
+
+// before reports whether a sorts before b in order o.
+func (o tierOrder) before(a, b *sched.RequestState) bool {
+	if o == deadlineOrder {
+		if da, db := a.Deadline(), b.Deadline(); da != db {
+			return da < db
+		}
+	}
+	return arrivalBefore(a, b)
+}
+
+// insertOrdered inserts st into sts, which is sorted in order o, after
+// every entry that does not sort after it: a binary search and one shift,
+// O(1) when st belongs at the end.
+func insertOrdered(sts []*sched.RequestState, st *sched.RequestState, o tierOrder) []*sched.RequestState {
+	lo, hi := 0, len(sts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if arrivalBefore(st, l.byArrival[mid]) {
+		if o.before(st, sts[mid]) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	l.byArrival = slices.Insert(l.byArrival, lo, st)
+	return slices.Insert(sts, lo, st)
 }
 
-// removePending takes a request that starts running out of both pending
-// indexes: a pointer scan of pending, a binary search of byArrival.
+// removeOrdered takes st out of sts, which is sorted in order o: a binary
+// search to the first entry not before st, then a scan over its equal keys.
+// It reports whether st was there.
+func removeOrdered(sts []*sched.RequestState, st *sched.RequestState, o tierOrder) ([]*sched.RequestState, bool) {
+	lo, hi := 0, len(sts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if o.before(sts[mid], st) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < len(sts) && !o.before(st, sts[i]); i++ {
+		if sts[i] == st {
+			return slices.Delete(sts, i, i+1), true
+		}
+	}
+	return sts, false
+}
+
+// enqueue makes st pending: appended to l.pending, and inserted into
+// l.byArrival and, with a lateness rule, l.onTime in (Arrival, ID) order
+// (the next plan's splitPending judges it). Arrivals land at the end in
+// O(1); a requeue costs a binary search and one shift per index.
+func (l *Loop) enqueue(st *sched.RequestState) {
+	l.pending = append(l.pending, st)
+	l.byArrival = insertOrdered(l.byArrival, st, arrivalOrder)
+	if l.lateness != nil {
+		l.onTime = insertOrdered(l.onTime, st, arrivalOrder)
+	}
+}
+
+// removePending takes a request that starts running out of every pending
+// index: a pointer scan of pending, binary searches of the ordered ones.
 func (l *Loop) removePending(st *sched.RequestState) {
 	if i := slices.Index(l.pending, st); i >= 0 {
 		l.pending = slices.Delete(l.pending, i, i+1)
 	}
-	lo, hi := 0, len(l.byArrival)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if arrivalBefore(l.byArrival[mid], st) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for i := lo; i < len(l.byArrival); i++ {
-		if l.byArrival[i] == st {
-			l.byArrival = slices.Delete(l.byArrival, i, i+1)
-			return
+	l.byArrival, _ = removeOrdered(l.byArrival, st, arrivalOrder)
+	if l.lateness != nil {
+		var found bool
+		if l.late, found = removeOrdered(l.late, st, deadlineOrder); !found {
+			l.onTime, _ = removeOrdered(l.onTime, st, arrivalOrder)
 		}
 	}
 }

@@ -238,44 +238,65 @@ func TestPerpetualTicks(t *testing.T) {
 // — must not allocate at all. This pins the arena/pooling work across
 // eventq, engine, core and this package; any regression shows up as a
 // fractional allocs-per-run here long before it is visible in benchmarks.
+// The late case runs on a backlog whose SLOs are already past: every round
+// the best-effort lane takes requests off the front of the late tier and
+// their requeues pass through the on-time tier back into it, so the tier
+// inserts must reuse capacity.
 func TestControlRoundTickZeroAlloc(t *testing.T) {
-	mdl := model.FLUX()
-	topo := simgpu.H100x8()
-	prof := costmodel.BuildProfile(costmodel.NewEstimator(mdl, topo), costmodel.ProfilerConfig{})
-	clk := clock.NewVirtual()
-	l, err := New(Config{
-		Model:       mdl,
-		Topo:        topo,
-		Scheduler:   core.NewScheduler(prof, topo, core.DefaultConfig()),
-		Profile:     prof,
-		Engine:      engine.DefaultConfig(),
-		Perpetual:   true,
-		Preallocate: Prealloc{Requests: 64, Runs: 1 << 15, Rounds: 1 << 15},
-	}, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resList := model.StandardResolutions()
-	for i := 0; i < 64; i++ {
-		l.Arrive(&workload.Request{
-			ID:    workload.RequestID(i),
-			Res:   resList[i%len(resList)],
-			Steps: 1 << 20,
-			SLO:   1000 * time.Hour,
+	for _, tc := range []struct {
+		name  string
+		depth int
+		slo   time.Duration
+	}{
+		{"queue=64", 64, 1000 * time.Hour},
+		{"late=256", 256, time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mdl := model.FLUX()
+			topo := simgpu.H100x8()
+			prof := costmodel.BuildProfile(costmodel.NewEstimator(mdl, topo), costmodel.ProfilerConfig{})
+			clk := clock.NewVirtual()
+			l, err := New(Config{
+				Model:       mdl,
+				Topo:        topo,
+				Scheduler:   core.NewScheduler(prof, topo, core.DefaultConfig()),
+				Profile:     prof,
+				Engine:      engine.DefaultConfig(),
+				Perpetual:   true,
+				Preallocate: Prealloc{Requests: tc.depth, Runs: 1 << 15, Rounds: 1 << 15},
+			}, clk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resList := model.StandardResolutions()
+			for i := 0; i < tc.depth; i++ {
+				l.Arrive(&workload.Request{
+					ID:    workload.RequestID(i),
+					Res:   resList[i%len(resList)],
+					Steps: 1 << 20,
+					SLO:   tc.slo,
+				})
+			}
+			l.Begin()
+			step := func() {
+				ev := l.PopEvent()
+				clk.Advance(ev.At)
+				if err := l.Dispatch(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2048; i++ {
+				step() // reach scratch high-water marks before measuring
+			}
+			if late := len(l.late); (tc.slo < time.Second) != (late > 0) {
+				t.Fatalf("%d requests in the late tier", late)
+			}
+			if len(l.Result().Runs) == 0 {
+				t.Fatal("warm-up ran no blocks")
+			}
+			if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+				t.Fatalf("event dispatch allocates %.2f times per event, want 0", avg)
+			}
 		})
-	}
-	l.Begin()
-	step := func() {
-		ev := l.PopEvent()
-		clk.Advance(ev.At)
-		if err := l.Dispatch(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2048; i++ {
-		step() // reach scratch high-water marks before measuring
-	}
-	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
-		t.Fatalf("event dispatch allocates %.2f times per event, want 0", avg)
 	}
 }

@@ -181,15 +181,23 @@ func (s *Scheduler) addCachedOptions(prof *costmodel.Profile, tNext time.Duratio
 
 // cacheFeasibleAt reports whether `remaining` steps, resuming at tStart with
 // `done` effective steps already computed and budgetLeft quality to spend,
-// can still meet st's deadline in the best cache-assisted case: every
-// approximable step (outside the protected first/last CacheProtectedSteps,
-// capped by the budget) runs at γ·tmin, the rest at plain tmin (the
-// caller's Profile.MinStepTime for st's resolution), with
-// cacheRescueMargin of slack absorbing round quantization and jitter. This
-// single projection backs the definitely-late relief, the protected-prefix
-// survival flip, and the per-option rescue gate, so a request is kept alive
-// for the cache dimension exactly when a rescue can still be realized.
+// can still meet st's deadline in the best cache-assisted case
+// (cacheService), with cacheRescueMargin of slack absorbing round
+// quantization and jitter. This single projection backs the definitely-late
+// relief (LateFrom), the protected-prefix survival flip, and the per-option
+// rescue gate, so a request is kept alive for the cache dimension exactly
+// when a rescue can still be realized.
 func (s *Scheduler) cacheFeasibleAt(prof *costmodel.Profile, st *sched.RequestState, tmin, tStart time.Duration, remaining, done, budgetLeft int) bool {
+	return tStart+s.cacheService(prof, st, tmin, remaining, done, budgetLeft)+s.cacheRescueMargin() <= st.Deadline()
+}
+
+// cacheService is the best-case cache-assisted service time of `remaining`
+// steps with `done` effective steps already computed and budgetLeft quality
+// to spend: every approximable step (outside the protected first/last
+// CacheProtectedSteps, capped by the budget) runs at γ·tmin, the rest at
+// plain tmin (the caller's Profile.MinStepTime for st's resolution). It
+// does not depend on when service starts.
+func (s *Scheduler) cacheService(prof *costmodel.Profile, st *sched.RequestState, tmin time.Duration, remaining, done, budgetLeft int) time.Duration {
 	// a is the best-case approximated-step count ahead; 0 (no approximable
 	// span or no budget left) degrades the projection to plain service —
 	// still feasible when the remainder is small enough.
@@ -208,8 +216,7 @@ func (s *Scheduler) cacheFeasibleAt(prof *costmodel.Profile, st *sched.RequestSt
 		}
 	}
 	gamma := prof.CachedStepRelCost()
-	minRemaining := time.Duration(remaining-a)*tmin + time.Duration(float64(a)*gamma*float64(tmin))
-	return tStart+minRemaining+s.cacheRescueMargin() <= st.Deadline()
+	return time.Duration(remaining-a)*tmin + time.Duration(float64(a)*gamma*float64(tmin))
 }
 
 // cacheRescueMargin is the deadline slack a cache-assisted rescue must

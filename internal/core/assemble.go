@@ -39,7 +39,7 @@ type placed struct {
 // admission of unselected requests, the best-effort lane for late requests,
 // and elastic scale-up across all of them. The returned plan lives in the
 // scheduler's scratch and is valid until the next Plan call.
-func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*candidate, late []*sched.RequestState) []sched.Assignment {
+func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*candidate) []sched.Assignment {
 	sc := &s.scratch
 	free := ctx.Free
 
@@ -113,11 +113,13 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 		// cannot starve on-time requests of capacity.
 		budget := s.cfg.BestEffortGPUs
 		for _, st := range ctx.Running {
-			if s.definitelyLate(ctx.Profile, st, ctx.Now) {
+			if ctx.Now > s.LateFrom(ctx.Profile, st) {
 				budget--
 			}
 		}
-		lane := sc.earliestDeadlines(late, budget)
+		// ctx.Late is in deadline order (ties in arrival order), so the
+		// lane's requests are its front.
+		lane := ctx.Late[:min(max(budget, 0), len(ctx.Late))]
 		sc.lateArena = slices.Grow(sc.lateArena[:0], len(lane))
 		for _, st := range lane {
 			if free.Count() == 0 {
@@ -193,37 +195,6 @@ func (s *Scheduler) assemble(ctx *sched.PlanContext, sels []selection, cands []*
 	}
 	sc.plan = plan
 	return plan
-}
-
-// earliestDeadlines returns the k earliest-deadline requests of sts in
-// deadline order, equal deadlines in input order: the first k entries a
-// stable sort by deadline would give, found in one pass. The best-effort
-// lane serves at most its GPU budget of late requests, so sorting the whole
-// late set every round would be wasted work. The result aliases scratch.
-func (sc *planScratch) earliestDeadlines(sts []*sched.RequestState, k int) []*sched.RequestState {
-	if k <= 0 {
-		return nil
-	}
-	out := sc.lane[:0]
-	for _, st := range sts {
-		d := st.Deadline()
-		if len(out) == k && d >= out[k-1].Deadline() {
-			continue
-		}
-		// Insert after every kept request due no later than st, dropping
-		// the latest one when full.
-		i := len(out)
-		for i > 0 && out[i-1].Deadline() > d {
-			i--
-		}
-		if len(out) < k {
-			out = append(out, nil)
-		}
-		copy(out[i+1:], out[i:len(out)-1])
-		out[i] = st
-	}
-	sc.lane = out
-	return out
 }
 
 // place maps a (candidate, degree) onto a concrete free group, degrading to

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"tetriserve/internal/costmodel"
+	"tetriserve/internal/sched"
 )
 
 // parallelMinActive gates the parallel path: below this many active
@@ -47,10 +48,9 @@ type parScratch struct {
 
 // buildCandidatesParallel is the Workers>1 equivalent of the sequential
 // candidate loop in Plan, bit-identical in its effect on scratch.cands.
-func (s *Scheduler) buildCandidatesParallel(prof *costmodel.Profile, now, tNext time.Duration) {
+func (s *Scheduler) buildCandidatesParallel(prof *costmodel.Profile, active []*sched.RequestState, now, tNext time.Duration) {
 	sc := &s.scratch
 	p := &sc.par
-	active := sc.active
 	workers := s.cfg.Workers
 
 	// Pass 1: unique memo misses, first-seen order.

@@ -3,8 +3,9 @@
 //
 // Every round of duration τ the scheduler:
 //
-//  1. splits pending requests into active ones and definitely-late ones
-//     (the latter go to a ≤1-GPU best-effort lane, §4.2.2);
+//  1. takes the pending requests split into active ones and definitely-late
+//     ones (the latter go to a ≤1-GPU best-effort lane, §4.2.2) — the
+//     control loop keeps that split by the scheduler's LateFrom rule;
 //  2. computes, per active request, the minimal-GPU-hour mix of
 //     sequence-parallel degrees that still meets its deadline (§4.2.1);
 //  3. packs requests into the round with the group-knapsack dynamic
@@ -187,7 +188,10 @@ func (c *Config) normalize() {
 }
 
 // Scheduler is TetriServe's round-based scheduler. It implements
-// sched.Scheduler and is driven at fixed round boundaries.
+// sched.Scheduler and is driven at fixed round boundaries. It also
+// implements sched.Lateness (LateFrom), so the control loop keeps its
+// pending set split into on-time and definitely-late requests and a round
+// only pays for the on-time ones and the best-effort lane.
 //
 // A Scheduler is NOT safe for concurrent use: Plan reuses per-round scratch
 // buffers (see scratch.go), and the returned plan aliases them, remaining
@@ -309,10 +313,13 @@ func (s *Scheduler) Warm() WarmStats {
 func (s *Scheduler) window() time.Duration { return s.tau - s.cfg.SchedOverhead }
 
 // Plan implements sched.Scheduler for one round (Algorithm 1 plus the
-// §4.2.3 placement/elastic extensions). The returned plan (including its
-// Requests slices) aliases the scheduler's reusable scratch and is valid
-// only until the next Plan call; callers that retain assignments across
-// rounds must copy them (the engine does).
+// §4.2.3 placement/elastic extensions). It plans the on-time requests of
+// ctx's OnTime/Late split and serves the earliest-deadline late ones in the
+// best-effort lane, so a round costs O(on-time + lane), not O(backlog); an
+// unsplit context is split first with sched.SplitPending. The returned plan
+// (including its Requests slices) aliases the scheduler's reusable scratch
+// and is valid only until the next Plan call; callers that retain
+// assignments across rounds must copy them (the engine does).
 func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	started := s.cfg.WallClock()
 	defer func() {
@@ -320,29 +327,26 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 		s.roundsPlanned++
 	}()
 
+	// The active set is the on-time side of the split, the best-effort
+	// lane's the front of the late side; neither walks the late backlog.
+	if !ctx.Split {
+		ctx = s.split(ctx)
+	}
+	active := ctx.OnTime
 	tNext := ctx.Now + s.tau
 	s.beginPlan(ctx.Profile)
 	sc := &s.scratch
-
-	// Partition pending requests into active and definitely-late.
-	for _, st := range ctx.Pending {
-		if s.definitelyLate(ctx.Profile, st, ctx.Now) {
-			sc.late = append(sc.late, st)
-		} else {
-			sc.active = append(sc.active, st)
-		}
-	}
 
 	// Stage 1: deadline-aware minimal-GPU-hour allocation per request.
 	// All plan-time lookups go through ctx.Profile so a live server may
 	// extend the table (on-demand profiling) without rebuilding schedulers.
 	// Candidates live in the scratch arena; the arena is sized up front so
 	// the pointers taken here stay valid.
-	if s.cfg.Workers > 1 && len(sc.active) >= parallelMinActive {
-		s.buildCandidatesParallel(ctx.Profile, ctx.Now, tNext)
+	if s.cfg.Workers > 1 && len(active) >= parallelMinActive {
+		s.buildCandidatesParallel(ctx.Profile, active, ctx.Now, tNext)
 	} else {
-		arena := sc.grabCandidates(len(sc.active))
-		for i, st := range sc.active {
+		arena := sc.grabCandidates(len(active))
+		for i, st := range active {
 			c := &arena[i]
 			if s.buildCandidate(ctx.Profile, ctx.Now, tNext, st, c) {
 				sc.cands = append(sc.cands, c)
@@ -356,7 +360,10 @@ func (s *Scheduler) Plan(ctx *sched.PlanContext) []sched.Assignment {
 	chosen := s.packDP(s.pruneCandidates(sc.cands), capGPUs)
 
 	// Stage 3: placement, batching, elastic scale-up, best-effort lane.
-	return s.assemble(ctx, chosen, sc.cands, sc.late)
+	return s.assemble(ctx, chosen, sc.cands)
 }
 
-var _ sched.Scheduler = (*Scheduler)(nil)
+var (
+	_ sched.Scheduler = (*Scheduler)(nil)
+	_ sched.Lateness  = (*Scheduler)(nil)
+)

@@ -38,9 +38,11 @@ type mixKey struct {
 
 // planScratch is the arena reused across Plan calls.
 type planScratch struct {
-	// Stage 0: request partition.
-	active []*sched.RequestState
-	late   []*sched.RequestState
+	// Stage 0: the split of an unsplit context (see Scheduler.split) — a
+	// copy of the caller's context plus the storage SplitPending fills.
+	splitCtx sched.PlanContext
+	onTime   []*sched.RequestState
+	late     []*sched.RequestState
 
 	// Stage 1: candidate construction.
 	candArena []candidate
@@ -79,13 +81,11 @@ type planScratch struct {
 	par parScratch
 
 	// Stage 3: assembly. placed is the arena all *placed pointers index
-	// into; lane holds the late requests the best-effort lane serves;
-	// memberArena backs the per-host continuous-batching member slices;
-	// ids backs the emitted Assignment.Requests slices.
+	// into; memberArena backs the per-host continuous-batching member
+	// slices; ids backs the emitted Assignment.Requests slices.
 	ordered     []selection
 	placed      []placed
 	placedPtr   []*placed
-	lane        []*sched.RequestState
 	lateArena   []candidate
 	unplaced    []*candidate
 	batchable   []*placed
@@ -104,8 +104,6 @@ type degCfg struct {
 // beginPlan resets the per-round buffers and memo for a fresh solve.
 func (s *Scheduler) beginPlan(prof *costmodel.Profile) {
 	sc := &s.scratch
-	sc.active = sc.active[:0]
-	sc.late = sc.late[:0]
 	sc.cands = sc.cands[:0]
 	s.ensureMemo(prof)
 	clear(sc.mixMemo)
@@ -138,29 +136,43 @@ func (s *Scheduler) degCfgs(prof *costmodel.Profile, res model.Resolution) []deg
 	return c
 }
 
-// definitelyLate mirrors sched.RequestState.DefinitelyLate. With step
-// caching enabled, a request is only definitely late if it misses its
-// deadline even after spending its whole remaining quality budget at the
-// maximum cache interval — the cache dimension turns some would-be drops
-// back into packable candidates.
-func (s *Scheduler) definitelyLate(prof *costmodel.Profile, st *sched.RequestState, now time.Duration) bool {
+// LateFrom implements sched.Lateness, and is the scheduler's one
+// definitely-late rule: st cannot meet its deadline from any start after
+// the returned instant. Without step caching that is the plain bound — every
+// remaining step at the fastest profiled time. With caching a request is
+// only definitely late once it misses even after spending its whole
+// remaining quality budget at the maximum cache interval, so its threshold
+// is the later of the plain bound and the rescue gate's best-case
+// projection (cacheService plus cacheRescueMargin, the same projection
+// addCachedOptions admits rescues by): the cache dimension keeps a request
+// active exactly while a rescue could still be planned for it, never
+// letting doomed requests linger in the active set and displace on-time
+// work. Both terms depend only on state that is fixed while st is pending.
+func (s *Scheduler) LateFrom(prof *costmodel.Profile, st *sched.RequestState) time.Duration {
 	tmin, _ := prof.MinStepTime(st.Req.Res)
-	if now+time.Duration(st.Remaining)*tmin <= st.Deadline() {
-		return false
-	}
-	// With caching off the rescue projection below is the plain bound just
-	// failed plus a non-negative margin, so it cannot pass either.
+	from := st.Deadline() - time.Duration(st.Remaining)*tmin
 	if s.cfg.MaxCacheInterval <= 1 {
-		return true
+		return from
 	}
-	// Same projection (and margin) as the rescue gate in addCachedOptions: a
-	// request is only kept alive for the cache dimension when a rescue could
-	// actually be planned for it — relief without a plannable rescue would
-	// let doomed requests linger in the active set and displace on-time work.
 	total := st.Req.Steps - st.Req.SkippedSteps
 	done := total - st.Remaining
 	budgetLeft := st.Req.QualityBudget - st.QualityUsed
-	return !s.cacheFeasibleAt(prof, st, tmin, now, st.Remaining, done, budgetLeft)
+	cached := st.Deadline() - s.cacheService(prof, st, tmin, st.Remaining, done, budgetLeft) - s.cacheRescueMargin()
+	return max(from, cached)
+}
+
+// split returns ctx with its OnTime/Late split filled by
+// sched.SplitPending — the path for hand-built contexts; the control loop
+// hands over split ones. The split is made in a scheduler-owned copy, so
+// the caller's context is left as it was handed in and may change before
+// the next call.
+func (s *Scheduler) split(ctx *sched.PlanContext) *sched.PlanContext {
+	sc := &s.scratch
+	sc.splitCtx = *ctx
+	sc.splitCtx.OnTime, sc.splitCtx.Late = sc.onTime, sc.late
+	sched.SplitPending(&sc.splitCtx, s)
+	sc.onTime, sc.late = sc.splitCtx.OnTime, sc.splitCtx.Late
+	return &sc.splitCtx
 }
 
 // putMix1 / putMix2 materialize a mix into the per-plan slab, returning a

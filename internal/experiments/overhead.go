@@ -117,6 +117,9 @@ func measureDPLatency(f *fixture, n, r int, seed uint64) float64 {
 		Profile: f.prof,
 		Topo:    topo,
 	}
+	// Split as the control loop hands a snapshot over, so the timed calls
+	// plan rather than partition.
+	sched.SplitPending(ctx, sc)
 	// Warm once, then time the median of several calls.
 	sc.Plan(ctx)
 	best := time.Duration(1<<62 - 1)

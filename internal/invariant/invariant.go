@@ -32,6 +32,10 @@
 //     observed migrations must equal the engine's remap counter exactly.
 //   - conservation: admitted requests are finalized exactly once, remaining
 //     step counts never go negative, and all GPUs drain back to idle.
+//   - split: a split planning context partitions the pending set exactly as
+//     sched.SplitPending defines — every pending request once, on-time ones
+//     in pending order and not yet late, late ones past their LateFrom in
+//     stable deadline order (§4.2.2's definitely-late lane).
 package invariant
 
 import (
@@ -70,6 +74,7 @@ const (
 	RuleConservation = "conservation" // request/GPU bookkeeping drains
 	RuleOutcome      = "outcome"      // outcome self-consistency
 	RuleQuality      = "quality"      // step-cache budget and protection zone
+	RuleSplit        = "split"        // on-time/late split of the pending set
 )
 
 // CheckPlan validates one plan against the snapshot it was produced from:

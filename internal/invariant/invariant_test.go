@@ -257,3 +257,63 @@ func TestOracleCleanLifecycle(t *testing.T) {
 		t.Fatalf("clean lifecycle failed the audit: %v", err)
 	}
 }
+
+// plainLateness is the cache-oblivious definitely-late rule: every remaining
+// step at the fastest profiled time.
+type plainLateness struct{}
+
+func (plainLateness) LateFrom(prof *costmodel.Profile, st *sched.RequestState) time.Duration {
+	tmin, _ := prof.MinStepTime(st.Req.Res)
+	return st.Deadline() - time.Duration(st.Remaining)*tmin
+}
+
+// TestOracleChecksSplit: the split sched.SplitPending builds passes, and
+// each way a tracker could get it wrong — order, a misjudged request, a
+// missing or doubled one — trips RuleSplit.
+func TestOracleChecksSplit(t *testing.T) {
+	topo := simgpu.H100x8()
+	now := time.Second
+	a := pendingState(1, model.Res256, 10, time.Hour)
+	b := pendingState(2, model.Res256, 10, time.Millisecond)
+	c := pendingState(3, model.Res256, 10, 2*time.Millisecond)
+	d := pendingState(4, model.Res256, 10, time.Hour)
+	rs := func(sts ...*sched.RequestState) []*sched.RequestState { return sts }
+	cases := []struct {
+		name         string
+		onTime, late []*sched.RequestState // nil: SplitPending's
+	}{
+		{"reference", nil, nil},
+		{"on-time out of order", rs(d, a), rs(b, c)},
+		{"late request on time", rs(a, b, d), rs(c)},
+		{"on-time request late", rs(a), rs(b, c, d)},
+		{"late out of deadline order", rs(a, d), rs(c, b)},
+		{"missing", rs(a, d), rs(b)},
+		{"doubled", rs(a, d), rs(b, c, c)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, _ := newTestOracle(t, topo)
+			o.cfg.Lateness = plainLateness{}
+			ctx := planCtx(t, topo, topo.AllMask(), a, b, c, d)
+			ctx.Now = now
+			ctx.Profile = o.cfg.Profile
+			for _, st := range ctx.Pending {
+				o.Hooks().Admitted(0, st.Req)
+			}
+			sched.SplitPending(ctx, plainLateness{})
+			if len(ctx.OnTime) != 2 || len(ctx.Late) != 2 {
+				t.Fatalf("fixture split %d on time, %d late; want 2 and 2", len(ctx.OnTime), len(ctx.Late))
+			}
+			if tc.onTime == nil {
+				o.Hooks().Planned(now, ctx, nil)
+				if vs := o.Violations(); len(vs) != 0 {
+					t.Fatalf("reference split flagged: %v", vs)
+				}
+				return
+			}
+			ctx.OnTime, ctx.Late = tc.onTime, tc.late
+			o.Hooks().Planned(now, ctx, nil)
+			wantRule(t, o.Violations(), RuleSplit)
+		})
+	}
+}

@@ -30,6 +30,10 @@ type Config struct {
 	// broken invariant must abort the run, not skew the tables). Off, the
 	// oracle records violations for later inspection (the serving driver).
 	Strict bool
+	// Lateness is the scheduler's definitely-late rule, if it has one; the
+	// on-time/late split of a planning context (RuleSplit) is checked
+	// against it. Nil skips the split check.
+	Lateness sched.Lateness
 }
 
 // reqState is the oracle's independent ledger entry for one live request.
@@ -67,6 +71,10 @@ type Oracle struct {
 	latents  map[workload.RequestID]simgpu.Mask
 	inflight map[engine.RunID]*engine.Run
 
+	// splitPos maps each pending request of the plan under audit to its
+	// Pending index (checkSplit's scratch, reused across plans).
+	splitPos map[*sched.RequestState]int
+
 	admitted   int
 	finalized  int
 	migrations int
@@ -102,13 +110,15 @@ func New(cfg Config) *Oracle {
 // Attach builds an oracle for the control configuration and chains its
 // observers after any hooks already installed. Call before control.New.
 func Attach(cfg *control.Config) *Oracle {
+	lateness, _ := cfg.Scheduler.(sched.Lateness)
 	o := New(Config{
-		Model:   cfg.Model,
-		Topo:    cfg.Topo,
-		Profile: cfg.Profile,
-		Engine:  cfg.Engine,
-		Tau:     cfg.Scheduler.RoundDuration(),
-		Strict:  cfg.Strict,
+		Model:    cfg.Model,
+		Topo:     cfg.Topo,
+		Profile:  cfg.Profile,
+		Engine:   cfg.Engine,
+		Tau:      cfg.Scheduler.RoundDuration(),
+		Strict:   cfg.Strict,
+		Lateness: lateness,
 	})
 	cfg.Hooks = cfg.Hooks.Then(o.Hooks())
 	return o
@@ -199,8 +209,72 @@ func (o *Oracle) onPlanned(now time.Duration, ctx *sched.PlanContext, plan []sch
 				st.Req.ID, st.Remaining, rec.remaining)
 		}
 	}
+	if ctx.Split && o.cfg.Lateness != nil {
+		o.checkSplit(now, ctx)
+	}
 	for _, v := range CheckPlan(ctx, plan, o.cfg.Tau) {
 		o.report(v.At, v.Rule, "%s", v.Detail)
+	}
+}
+
+// checkSplit re-derives sched.SplitPending's definition of ctx's
+// OnTime/Late split from its three parts rather than trusting either side:
+// together the tiers hold each pending request exactly once; OnTime is a
+// subsequence of Pending whose requests are not late at now; Late holds
+// requests past their LateFrom, in deadline order with ties in Pending
+// order.
+func (o *Oracle) checkSplit(now time.Duration, ctx *sched.PlanContext) {
+	if o.splitPos == nil {
+		o.splitPos = make(map[*sched.RequestState]int, len(ctx.Pending))
+	}
+	pos := o.splitPos
+	clear(pos)
+	for i, st := range ctx.Pending {
+		pos[st] = i
+	}
+	// take returns st's Pending index and marks it used, or -1 when st is
+	// not pending or was already listed.
+	take := func(st *sched.RequestState) int {
+		i, ok := pos[st]
+		if !ok {
+			o.report(now, RuleSplit, "request %d is in the split but not pending, or listed twice", st.Req.ID)
+			return -1
+		}
+		delete(pos, st)
+		return i
+	}
+	prev := -1
+	for _, st := range ctx.OnTime {
+		i := take(st)
+		if i >= 0 && i < prev {
+			o.report(now, RuleSplit, "on-time request %d is out of pending order", st.Req.ID)
+		}
+		prev = max(prev, i)
+		if from := o.cfg.Lateness.LateFrom(ctx.Profile, st); now > from {
+			o.report(now, RuleSplit, "on-time request %d has been late since %s", st.Req.ID, from)
+		}
+	}
+	var last *sched.RequestState
+	lastPos := -1
+	for _, st := range ctx.Late {
+		i := take(st)
+		if from := o.cfg.Lateness.LateFrom(ctx.Profile, st); now <= from {
+			o.report(now, RuleSplit, "late request %d is not late until %s", st.Req.ID, from)
+		}
+		if last != nil && i >= 0 && (st.Deadline() < last.Deadline() || (st.Deadline() == last.Deadline() && i < lastPos)) {
+			o.report(now, RuleSplit, "late request %d (deadline %s) follows request %d (deadline %s) out of stable deadline order",
+				st.Req.ID, st.Deadline(), last.Req.ID, last.Deadline())
+		}
+		if i >= 0 {
+			last, lastPos = st, i
+		}
+	}
+	if len(pos) != 0 {
+		for _, st := range ctx.Pending {
+			if _, left := pos[st]; left {
+				o.report(now, RuleSplit, "pending request %d is in neither tier of the split", st.Req.ID)
+			}
+		}
 	}
 }
 

@@ -105,6 +105,15 @@ func TestPlanCheckerMatchesMapIndex(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: Validate = %v, reference = %v\nplan: %+v", trial, got, want, plan)
 		}
+		// A split context resolves IDs from its tiers instead; with distinct
+		// pending IDs (as a control loop has) the verdict is the same.
+		if distinctIDs(pending) {
+			split := *ctx
+			SplitPending(&split, plainLateness{})
+			if got := c.Validate(&split, plan); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: Validate on the split context = %v, reference = %v\nplan: %+v", trial, got, want, plan)
+			}
+		}
 		if got != nil {
 			rejected++
 		}
@@ -112,6 +121,17 @@ func TestPlanCheckerMatchesMapIndex(t *testing.T) {
 	if rejected == 0 || rejected == 3000 {
 		t.Fatalf("%d of 3000 random plans rejected; the generator does not cover both outcomes", rejected)
 	}
+}
+
+func distinctIDs(sts []*RequestState) bool {
+	seen := map[workload.RequestID]bool{}
+	for _, st := range sts {
+		if seen[st.Req.ID] {
+			return false
+		}
+		seen[st.Req.ID] = true
+	}
+	return true
 }
 
 // validateWithMap is PlanChecker.Validate with every pending request indexed

@@ -160,12 +160,51 @@ type PlanContext struct {
 	// Pending lists requests with Remaining > 0 that are not Running,
 	// in arrival order.
 	Pending []*RequestState
+	// Split reports that OnTime and Late partition Pending by the
+	// scheduler's Lateness rule at Now: OnTime holds the requests that are
+	// not yet definitely late, in Pending order; Late holds the rest, stably
+	// sorted by deadline. Together they hold exactly the Pending requests.
+	// The control loop keeps this split for schedulers that implement
+	// Lateness, so a round need not re-judge the whole backlog;
+	// SplitPending fills it for hand-built contexts. Unset, OnTime and Late
+	// are meaningless.
+	Split  bool
+	OnTime []*RequestState
+	Late   []*RequestState
 	// Running lists requests currently executing.
 	Running []*RequestState
 	// Profile is the offline-profiled cost model.
 	Profile *costmodel.Profile
 	// Topo is the cluster topology.
 	Topo *simgpu.Topology
+}
+
+// Lateness is implemented by schedulers with a definitely-late rule: st is
+// definitely late at now iff now > LateFrom(prof, st). While a request is
+// pending, nothing LateFrom reads changes — its remaining steps, quality
+// spend, deadline and resolution are fixed until it runs again — so a
+// pending request turns late exactly once and never turns back, unless
+// prof's Version changes. The control loop relies on this to keep
+// PlanContext's OnTime/Late split up to date incrementally.
+type Lateness interface {
+	LateFrom(prof *costmodel.Profile, st *RequestState) time.Duration
+}
+
+// SplitPending fills ctx.OnTime and ctx.Late from ctx.Pending by lt at
+// ctx.Now and sets ctx.Split, reusing the two slices' storage. It is the
+// from-scratch definition of the split the control loop maintains as
+// requests arrive, start, requeue and expire.
+func SplitPending(ctx *PlanContext, lt Lateness) {
+	onTime, late := ctx.OnTime[:0], ctx.Late[:0]
+	for _, st := range ctx.Pending {
+		if ctx.Now > lt.LateFrom(ctx.Profile, st) {
+			late = append(late, st)
+		} else {
+			onTime = append(onTime, st)
+		}
+	}
+	slices.SortStableFunc(late, func(a, b *RequestState) int { return cmp.Compare(a.Deadline(), b.Deadline()) })
+	ctx.OnTime, ctx.Late, ctx.Split = onTime, late, true
 }
 
 // Scheduler decides GPU allocations.
@@ -178,6 +217,8 @@ type Scheduler interface {
 	RoundDuration() time.Duration
 	// Plan returns assignments to start now. Returned assignments must use
 	// disjoint subsets of ctx.Free and only requests from ctx.Pending.
+	// ctx.Pending and the split slices may alias the caller's live tracker
+	// storage: read them, never modify or retain them.
 	//
 	// Ownership: the returned slice and the Requests slices inside it are
 	// only guaranteed valid until the next Plan call on the same scheduler —
@@ -214,8 +255,12 @@ type plannedID struct {
 	claimed bool
 }
 
-// index builds c.ids for plan against ctx.Pending. When ctx.Pending repeats
-// an ID, the last entry wins.
+// index builds c.ids for plan against the pending requests. A split context
+// is searched in OnTime, then Late from its front — where the best-effort
+// lane draws from — so a deep late backlog is not walked; an unsplit one
+// is searched from the back of Pending, so when Pending repeats an ID the
+// last entry wins. Either way the search stops once every planned ID is
+// resolved.
 func (c *PlanChecker) index(ctx *PlanContext, plan []Assignment) {
 	// filter has bit id%64 set for every planned ID, so most pending
 	// requests are passed over without a search.
@@ -231,14 +276,24 @@ func (c *PlanChecker) index(ctx *PlanContext, plan []Assignment) {
 	ids = slices.CompactFunc(ids, func(a, b plannedID) bool { return a.id == b.id })
 	c.ids = ids
 	unresolved := len(ids)
-	for i := len(ctx.Pending) - 1; i >= 0 && unresolved > 0; i-- {
-		st := ctx.Pending[i]
+	resolve := func(st *RequestState) {
 		if id := st.Req.ID; filter&(1<<(uint64(id)%64)) != 0 {
 			if e := c.lookup(id); e != nil && e.st == nil {
 				e.st = st
 				unresolved--
 			}
 		}
+	}
+	if ctx.Split {
+		for _, tier := range [2][]*RequestState{ctx.OnTime, ctx.Late} {
+			for i := 0; i < len(tier) && unresolved > 0; i++ {
+				resolve(tier[i])
+			}
+		}
+		return
+	}
+	for i := len(ctx.Pending) - 1; i >= 0 && unresolved > 0; i-- {
+		resolve(ctx.Pending[i])
 	}
 }
 

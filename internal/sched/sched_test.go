@@ -8,6 +8,7 @@ import (
 	"tetriserve/internal/costmodel"
 	"tetriserve/internal/model"
 	"tetriserve/internal/simgpu"
+	"tetriserve/internal/stats"
 	"tetriserve/internal/workload"
 )
 
@@ -162,5 +163,66 @@ func TestValidatePlanCatchesMixedResolutionBatch(t *testing.T) {
 	plan := []Assignment{{Requests: []workload.RequestID{1, 2}, Group: simgpu.MaskOf(0), Steps: 2}}
 	if err := ValidatePlan(ctx, plan); err == nil || !strings.Contains(err.Error(), "mixes resolutions") {
 		t.Fatalf("mixed batch not caught: %v", err)
+	}
+}
+
+// plainLateness is the cache-oblivious definitely-late rule of
+// RequestState.DefinitelyLate, as a sched.Lateness.
+type plainLateness struct{}
+
+func (plainLateness) LateFrom(prof *costmodel.Profile, st *RequestState) time.Duration {
+	tmin, _ := prof.MinStepTime(st.Req.Res)
+	return st.Deadline() - time.Duration(st.Remaining)*tmin
+}
+
+// TestSplitPending: the split holds every pending request once, the
+// on-time ones in Pending order and not late, the late ones past their
+// LateFrom in deadline order with ties in Pending order; it reuses the
+// slices it is handed and leaves Pending alone.
+func TestSplitPending(t *testing.T) {
+	rng := stats.NewRNG(17)
+	resList := model.StandardResolutions()
+	ctx := mkCtx(0, simgpu.MaskRange(0, 8))
+	for trial := 0; trial < 500; trial++ {
+		var pending []*RequestState
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			// Deadlines on a coarse grid so ties occur.
+			slo := time.Duration(1+rng.Intn(8)) * 500 * time.Millisecond
+			pending = append(pending, mkState(i, resList[rng.Intn(len(resList))], 1+rng.Intn(50), 0, slo))
+		}
+		ctx.Now = time.Duration(rng.Intn(4000)) * time.Millisecond
+		ctx.Pending = append(pending[:0:0], pending...)
+		SplitPending(ctx, plainLateness{})
+		if !ctx.Split || len(ctx.OnTime)+len(ctx.Late) != len(pending) {
+			t.Fatalf("split %v holds %d+%d of %d", ctx.Split, len(ctx.OnTime), len(ctx.Late), len(pending))
+		}
+		pos := map[*RequestState]int{}
+		for i, st := range pending {
+			pos[st] = i
+			if ctx.Pending[i] != st {
+				t.Fatal("SplitPending reordered Pending")
+			}
+		}
+		for i, st := range ctx.OnTime {
+			if st.DefinitelyLate(ctx.Now, testProfile) || (i > 0 && pos[ctx.OnTime[i-1]] >= pos[st]) {
+				t.Fatalf("on-time entry %d (request %d) is late or out of order", i, st.Req.ID)
+			}
+			delete(pos, st)
+		}
+		for i, st := range ctx.Late {
+			if !st.DefinitelyLate(ctx.Now, testProfile) {
+				t.Fatalf("late entry %d (request %d) is on time", i, st.Req.ID)
+			}
+			if i > 0 {
+				prev := ctx.Late[i-1]
+				if prev.Deadline() > st.Deadline() || (prev.Deadline() == st.Deadline() && prev.Req.ID > st.Req.ID) {
+					t.Fatalf("late entries %d and %d out of stable deadline order", i-1, i)
+				}
+			}
+			delete(pos, st)
+		}
+		if len(pos) != 0 {
+			t.Fatalf("%d pending requests in neither tier or listed twice", len(pos))
+		}
 	}
 }

@@ -148,8 +148,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if cfg.Model == nil || len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("sim: Model and at least one shard are required")
 	}
-	if len(cfg.Requests) == 0 {
-		return nil, fmt.Errorf("sim: empty request trace")
+	if err := checkRequests(cfg.Requests); err != nil {
+		return nil, err
 	}
 	if cfg.MaxVirtualTime <= 0 {
 		cfg.MaxVirtualTime = 4 * time.Hour

@@ -118,8 +118,8 @@ func newSimulator(cfg Config) (*simulator, error) {
 	if cfg.Model == nil || cfg.Topo == nil || cfg.Scheduler == nil {
 		return nil, fmt.Errorf("sim: Model, Topo and Scheduler are required")
 	}
-	if len(cfg.Requests) == 0 {
-		return nil, fmt.Errorf("sim: empty request trace")
+	if err := checkRequests(cfg.Requests); err != nil {
+		return nil, err
 	}
 	if cfg.Profile == nil {
 		cfg.Profile = costmodel.BuildProfile(
@@ -190,6 +190,22 @@ func newSimulator(cfg Config) (*simulator, error) {
 	}
 	ctl.Begin()
 	return &simulator{cfg: cfg, clk: clk, ctl: ctl, oracle: oracle}, nil
+}
+
+// checkRequests rejects a trace the control loop could not finish. A
+// request with no denoising steps would sit in the pending queue forever —
+// no plan assigns a 0-step block and nothing else finalizes it — so the run
+// would only end at MaxVirtualTime.
+func checkRequests(reqs []*workload.Request) error {
+	if len(reqs) == 0 {
+		return fmt.Errorf("sim: empty request trace")
+	}
+	for _, r := range reqs {
+		if r.Steps <= 0 {
+			return fmt.Errorf("sim: request %d has %d steps", r.ID, r.Steps)
+		}
+	}
+	return nil
 }
 
 // loop drains the event queue under the virtual clock: advance to the next

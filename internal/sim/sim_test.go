@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -203,6 +204,25 @@ func TestEmptyTraceRejected(t *testing.T) {
 	_, err := Run(Config{Model: testMdl, Topo: testTopo, Scheduler: tetri()})
 	if err == nil {
 		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestZeroStepRequestRejected: a request with no steps is refused up front,
+// naming the request, by both harnesses — it used to sit pending until the
+// run hit MaxVirtualTime.
+func TestZeroStepRequestRejected(t *testing.T) {
+	for _, steps := range []int{0, -3} {
+		reqs := genTrace(5, 31, 1.2)
+		reqs[2].Steps = steps
+		want := fmt.Sprintf("sim: request %d has %d steps", reqs[2].ID, steps)
+		_, err := Run(Config{Model: testMdl, Topo: testTopo, Scheduler: tetri(), Requests: reqs, Profile: testProf})
+		if fmt.Sprint(err) != want {
+			t.Fatalf("Run with a %d-step request: err = %v, want %q", steps, err, want)
+		}
+		_, err = RunSharded(ShardedConfig{Model: testMdl, Shards: shardSpecs(2, 2), Requests: reqs})
+		if fmt.Sprint(err) != want {
+			t.Fatalf("RunSharded with a %d-step request: err = %v, want %q", steps, err, want)
+		}
 	}
 }
 
